@@ -57,7 +57,7 @@ def _require_flat(pinch: PinchSpec, what: str) -> None:
 def _check_r_range(pinch: PinchSpec, r: float) -> float:
     lo, hi = pinch.r2, pinch.r1
     slack = 1e-12 * max(1.0, hi)
-    if r < lo - slack or r > hi + slack:
+    if not lo - slack <= r <= hi + slack:  # NaN fails too
         raise ValueError(f"radius {r} outside the admissible range [{lo}, {hi}]")
     return min(max(r, lo), hi)
 

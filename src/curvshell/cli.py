@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -65,6 +66,8 @@ def _space_from(args) -> SpaceCurvature:
 
 
 def _admissibility_reason(space: SpaceCurvature, k1: float, k2: float) -> str:
+    if not (math.isfinite(k1) and math.isfinite(k2)):
+        return f"curvature bounds must be finite (got kappa1 = {k1}, kappa2 = {k2})"
     if not k2 >= k1:
         return f"kappa2 = {k2} must be >= kappa1 = {k1}"
     if space.kind == "flat":
@@ -170,7 +173,10 @@ def cmd_spindle(cfg: RunConfig) -> int:
 def _parse_seed_range(token: str):
     if ".." in token:
         lo, hi = token.split("..", 1)
-        return range(int(lo), int(hi) + 1)
+        seeds = range(int(lo), int(hi) + 1)
+        if not seeds:
+            raise ValueError(f"empty seed range {token}")
+        return seeds
     return [int(token)]
 
 

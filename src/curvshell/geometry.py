@@ -17,6 +17,7 @@ caller's units regardless of k.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,23 @@ SPHERICAL = "spherical"
 HYPERBOLIC = "hyperbolic"
 
 _CLAMP_EPS = 1e-12
+
+# Curvature scales k and circle radii are squared along the way, so each
+# square must be a normal binary64 number: k and radii in about
+# [1.49e-154, 1.34e154].
+_SQ_MIN, _SQ_MAX = sys.float_info.min, sys.float_info.max
+_SCALE_RANGE = f"[{math.sqrt(_SQ_MIN):.3g}, {math.sqrt(_SQ_MAX):.3g}]"
+
+
+def _normal_square(x: float) -> bool:
+    """Whether x * x is a normal binary64 number (false for NaN and inf)."""
+    return _SQ_MIN <= x * x <= _SQ_MAX
+
+
+def _require_scale_k(k: float) -> None:
+    if not _normal_square(k):
+        raise ValueError(f"curvature scale k = {k} is outside the supported range "
+                         f"{_SCALE_RANGE} (k^2 must be a normal binary64 number)")
 
 
 @dataclass(frozen=True)
@@ -44,6 +62,9 @@ class SpaceCurvature:
             raise ValueError("spherical geometry requires c > 0")
         if self.kind == HYPERBOLIC and not self.c < 0.0:
             raise ValueError("hyperbolic geometry requires c < 0")
+        if self.kind != FLAT and not _SQ_MIN <= abs(self.c) <= _SQ_MAX:
+            raise ValueError(f"curvature c = {self.c} is outside the supported range: "
+                             f"|c| must be a normal binary64 number")
 
     @property
     def k(self) -> float:
@@ -62,12 +83,14 @@ class SpaceCurvature:
     def spherical(cls, k: float) -> "SpaceCurvature":
         if not k > 0:
             raise ValueError("spherical space needs k > 0")
+        _require_scale_k(k)
         return cls(k * k, SPHERICAL)
 
     @classmethod
     def hyperbolic(cls, k: float) -> "SpaceCurvature":
         if not k > 0:
             raise ValueError("hyperbolic space needs k > 0")
+        _require_scale_k(k)
         return cls(-k * k, HYPERBOLIC)
 
     @classmethod
@@ -80,11 +103,11 @@ class SpaceCurvature:
 def admissible(space: SpaceCurvature, kappa1: float, kappa2: float) -> bool:
     """Whether (kappa1, kappa2) is a valid normal-curvature pinching for the space.
 
-    Total predicate: kappa2 >= kappa1 plus the lower-bound condition that
-    depends on the sign of c (kappa1 > 0 in the plane, kappa1 >= 0 on the
-    sphere, kappa1 > sqrt(-c) in hyperbolic space).  Never raises.
+    Total predicate: finite kappa2 >= kappa1 plus the lower-bound condition
+    that depends on the sign of c (kappa1 > 0 in the plane, kappa1 >= 0 on
+    the sphere, kappa1 > sqrt(-c) in hyperbolic space).  Never raises.
     """
-    if not kappa2 >= kappa1:
+    if not (kappa2 >= kappa1 and math.isfinite(kappa2)):
         return False
     if space.kind == FLAT:
         return kappa1 > 0.0
@@ -214,6 +237,11 @@ class PinchSpec:
             )
         r1 = sphere_radius_from_curvature(space, kappa1)
         r2 = sphere_radius_from_curvature(space, kappa2)
+        if not (_normal_square(r1) and _normal_square(r2)):
+            raise ValueError(
+                f"circle radii r1 = {r1}, r2 = {r2} of (kappa1={kappa1}, kappa2={kappa2}) "
+                f"leave the supported range {_SCALE_RANGE} (r^2 must be a normal binary64 number)"
+            )
         return cls(kappa1, kappa2, r1, r2)
 
     @property

@@ -52,7 +52,7 @@ class SpindleSpec:
     def __post_init__(self):
         lo, hi = self.pinch.r2, self.pinch.r1
         slack = _END_SNAP * max(1.0, hi)
-        if self.r_tilde < lo - slack or self.r_tilde > hi + slack:
+        if not lo - slack <= self.r_tilde <= hi + slack:  # NaN fails too
             raise ValueError(
                 f"inscribed radius {self.r_tilde} outside the spindle family range [{lo}, {hi}]"
             )

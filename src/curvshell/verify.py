@@ -5,13 +5,14 @@ For planar support-function bodies the center solves the concave maximin
 
     maximize over o of  min over t of  h(t) - <o, u(t)>,
 
-here by a certified cutting-plane scheme: a linear maximin over the 2048
-support directions, then rounds of exact contact cuts (Newton-refined
-global minima of the support gap, plus nearby "shadow" cuts that model
-the curvature of the active branch) until the LP upper bound and the
-exact objective agree to the requested gap.  Rotationally symmetric
-bodies restrict the center to the rotation axis, where the problem is a
-1-D concave maximization solved by golden section.
+here in two steps.  The linear maximin over the 2048 support directions
+is solved exactly by a primal simplex on its 3-row dual, and certified
+by primal and dual feasibility of the final basis.  An active-set polish
+then resolves the exact contacts of the smooth problem (Newton on
+three spanning contacts, a ridge solve on an antipodal pair, or ascent
+line searches); a ball about the LP center needs none.  Rotationally
+symmetric bodies restrict the center to the rotation axis, where the
+problem is a 1-D concave maximization solved by golden section.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from ._optim import golden_section_max, local_extrema_mask, refine_critical_points
 from .bodies import (
@@ -109,16 +110,23 @@ def _gap_fns(body, o):
     return f, fp, fpp
 
 
-def _support_gap_minima(body, o, with_spread=False):
+def _support_gap_minima(body, o, with_ball=False):
     """Newton-refined local minima of the support gap at center o.
 
     Returns (global_min, thetas, values), values ascending and thetas
-    deduplicated to one representative per branch.  With with_spread=True
-    a fourth element reports max - min of the gap over the whole grid
-    (zero exactly for a ball centered at o).
+    deduplicated to one representative per branch.  With with_ball=True a
+    fourth element tells whether the body is a ball about o: the gap
+    varies over the grid by at most 1e-13 (max |gap| + |o|), relative to
+    its rounding at an exact center.  A ball's gap is flat and f'' ~ 0 gives Newton
+    nothing to refine, so its unrefined grid minimum is the only branch.
     """
     f, fp, fpp = _gap_fns(body, o)
     f_grid = f(THETA_GRID)
+    i_min = int(np.argmin(f_grid))
+    gmin = float(f_grid[i_min])
+    if f_grid.max() - gmin <= 1e-13 * (float(np.abs(f_grid).max()) + float(np.linalg.norm(o))):
+        thetas, values = THETA_GRID[i_min:i_min + 1], f_grid[i_min:i_min + 1]
+        return (gmin, thetas, values, True) if with_ball else (gmin, thetas, values)
     min_mask, _ = local_extrema_mask(f_grid)
     t0 = THETA_GRID[min_mask]
     step = 2.0 * math.pi / GRID_N
@@ -137,8 +145,8 @@ def _support_gap_minima(body, o, with_spread=False):
         thetas, values = thetas[fresh], values[fresh]
     gmin = float(min(values.min(), f_grid.min()))
     order = np.argsort(values)
-    if with_spread:
-        return gmin, thetas[order], values[order], float(f_grid.max() - gmin)
+    if with_ball:
+        return gmin, thetas[order], values[order], False
     return gmin, thetas[order], values[order]
 
 
@@ -149,17 +157,68 @@ def _branch_min(body, o, t_seed):
     return float(np.asarray(f(t), float)[0]), float(t[0])
 
 
-_LP_OPTS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+_LP_TOL = 1e-13  # feasibility tolerance of the maximin LP, relative to max |h| + |o|
+_LP_PIVOT_TOL = 1e-12  # smallest basis coefficient the ratio test may pivot on
+_LP_BLAND_AFTER = 3  # consecutive degenerate pivots before Bland's rule takes over
 
 
 def _maximin_lp(a_dirs, b_vals):
-    """max t s.t. <o, u_j> + t <= h_j; returns (o, t)."""
-    rows = np.column_stack([a_dirs, np.ones(len(b_vals))])
-    res = linprog(c=[0.0, 0.0, -1.0], A_ub=rows, b_ub=b_vals,
-                  bounds=[(None, None)] * 3, method="highs", options=_LP_OPTS)
-    if res.status != 0:
-        raise RuntimeError(f"support maximin LP failed (status {res.status})")
-    return res.x[:2], -res.fun
+    """max t s.t. <o, u_j> + t <= h_j; returns (o, t).
+
+    Primal simplex on the dual  min h.lam  s.t.  sum lam_j u_j = 0,
+    sum lam_j = 1, lam >= 0, whose basis is three rows: (o, t) makes them
+    tight and lam_B are their weights.  Rows 0, n//3 and 2n//3 of an
+    evenly spaced direction grid positively span the plane, so they start
+    dual feasible.  Each pivot brings in the most violated row (a Remez
+    exchange) and drops the basis row picked by the ratio test on lam_B;
+    during a run of degenerate pivots Bland's rule (lowest index first)
+    takes over, so a stall cannot cycle.  The loop stops when every row
+    holds to _LP_TOL (max |h| + |o|), relative to the size of the
+    rounding in the slacks, whatever the scale of the body, with
+    lam_B >= 0: primal and dual feasibility certify that t is the
+    maximum.  Raises ValueError on non-finite data, a start basis that
+    does not span, or a pivot count above the number of rows.
+    """
+    h = np.asarray(b_vals, float)
+    rows = np.column_stack([a_dirs, np.ones(h.size)])
+    if not (np.isfinite(h).all() and np.isfinite(rows).all()):
+        raise ValueError("support maximin LP: non-finite support values")
+    n, h_size = h.size, float(np.abs(h).max())
+    basis = [0, n // 3, 2 * n // 3]
+    if not abs(np.linalg.det(rows[basis])) > 1e-12:
+        raise ValueError("support maximin LP: singular start basis (rows 0, n//3, 2n//3)")
+    m_inv = np.linalg.inv(rows[basis])
+    if m_inv[2].min() < 0.0:
+        raise ValueError("support maximin LP: the start rows 0, n//3, 2n//3 "
+                         "do not positively span the plane")
+    stall = 0
+    for _ in range(n):
+        x = m_inv @ h[basis]  # (o, t) with the basis rows tight
+        lam = m_inv[2]  # basis weights: rows[basis].T @ lam = (0, 0, 1)
+        slack = h - rows @ x
+        tol = _LP_TOL * (h_size + math.hypot(x[0], x[1]))
+        violated = slack < -tol
+        if not violated.any():
+            if lam.min() < -_LP_TOL:
+                raise ValueError("support maximin LP: a basis weight went negative")
+            return x[:2], float(x[2])
+        bland = stall >= _LP_BLAND_AFTER
+        k = int(np.argmax(violated)) if bland else int(np.argmin(slack))
+        w = rows[k] @ m_inv  # rows[k] = sum_i w_i rows[basis[i]]
+        pos = w > _LP_PIVOT_TOL
+        ratio = np.full(3, np.inf)
+        ratio[pos] = np.maximum(lam[pos], 0.0) / w[pos]
+        step = ratio.min()
+        if not math.isfinite(step):
+            raise ValueError("support maximin LP: no basis row can leave (unbounded dual)")
+        if bland:
+            leave = min((basis[i], i) for i in range(3) if ratio[i] <= step)[1]
+        else:
+            leave = int(np.argmin(ratio))
+        stall = stall + 1 if step <= _LP_TOL else 0
+        basis[leave] = k
+        m_inv = np.linalg.inv(rows[basis])
+    raise ValueError(f"support maximin LP: no optimum after {n} pivots")
 
 
 def _spanning(thetas) -> bool:
@@ -271,10 +330,10 @@ def _inscribed_support(body, grid_offset=0.0):
 
     best_o, best_val = o, _support_gap_minima(body, o)[0]
     for _ in range(16):
-        gmin, t_min, v_min, spread = _support_gap_minima(body, o, with_spread=True)
+        gmin, t_min, v_min, ball = _support_gap_minima(body, o, with_ball=True)
         if gmin > best_val:
             best_o, best_val = o, gmin
-        if spread <= 1e-13 * (1.0 + abs(gmin)):  # ball: every direction touches
+        if ball:  # every direction touches
             return o, gmin
         window = max(10.0 * max(t_upper - gmin, 0.0), 1e-11) + 1e-13
         act = t_min[v_min <= v_min[0] + window]
@@ -453,7 +512,11 @@ def check_bounds(body, pinch: PinchSpec) -> ShellResult:
         outer=big_r <= ob + BOUND_SLACK,
         quotient=None if qb is None else quotient <= qb + BOUND_SLACK,
     )
-    return ShellResult(center, r, big_r, width, quotient, wb, ob, qb, checks)
+    res = ShellResult(center, r, big_r, width, quotient, wb, ob, qb, checks)
+    # a non-finite shell is a numerical failure, not a bound violation
+    if not all(math.isfinite(v) for v in (r, big_r, *res.margins.values())):
+        raise ValueError(f"non-finite shell: r = {r}, R = {big_r}, margins {res.margins}")
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +606,8 @@ def verify_batch(pinch: PinchSpec, seeds, modes: int = 8, jobs: int = 1):
     tasks = [(pinch.kappa1, pinch.kappa2, int(s), modes) for s in seeds]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_batch_worker, tasks, chunksize=16))
+            chunk = math.ceil(len(tasks) / jobs)  # one equal share per worker
+            records = list(pool.map(_batch_worker, tasks, chunksize=chunk))
     else:
         records = [_batch_worker(t) for t in tasks]
     records.sort(key=lambda r: r["seed"])

@@ -162,3 +162,31 @@ class TestVerifyCommand:
         run_cli(capsys, "verify", "--flat", "--k1", "1", "--k2", "2", "--seeds", "0..5",
                 "--report", str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv,needle", [
+        (["spindle", "--flat", "--k1", "1", "--k2", "2", "--r", "nan"], "range"),
+        (["bound", "--spherical", "inf", "--k1", "1", "--k2", "2"], "supported range"),
+        (["bound", "--flat", "--k1", "1", "--k2", "inf"], "finite"),
+        (["bound", "--flat", "--k1", "1", "--k2", "2", "--r", "nan"], "range"),
+        (["verify", "--hyperbolic", "1e-300", "--k1", "2", "--k2", "3",
+          "--family", "spindle", "--grid", "3"], "supported range"),
+        (["verify", "--flat", "--k1", "1e-300", "--k2", "1", "--seeds", "0..0"],
+         "supported range"),
+        (["verify", "--flat", "--k1", "1e-200", "--k2", "1", "--seeds", "0..0"],
+         "supported range"),
+        (["verify", "--flat", "--k1", "1", "--k2", "2", "--seeds", "5..1"],
+         "empty seed range 5..1"),
+    ])
+    def test_rejected(self, capsys, argv, needle):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert needle in err
+        assert "Traceback" not in err
+
+    def test_tiny_scale_in_range(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--flat", "--k1", "1e150", "--k2", "2e150",
+                               "--seeds", "0..0")
+        assert code == 0
+        assert "1/1 satisfied" in out

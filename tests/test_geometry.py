@@ -260,3 +260,24 @@ class TestPointOps:
         assert circle_circumference_factor(FLAT, 0.7) == 0.7
         assert_allclose(circle_circumference_factor(SPHERE, 0.7), math.sin(0.7), rtol=1e-15)
         assert_allclose(circle_circumference_factor(HYPER, 0.7), math.sinh(0.7), rtol=1e-15)
+
+
+class TestScaleRange:
+    @pytest.mark.parametrize("make", [
+        lambda: SpaceCurvature.spherical(math.inf),
+        lambda: SpaceCurvature.hyperbolic(1e-300),
+        lambda: SpaceCurvature.spherical(1e160),
+        lambda: SpaceCurvature.from_c(math.nan),
+        lambda: SpaceCurvature.from_c(-1e-320),
+        lambda: PinchSpec.from_curvatures(FLAT, 1.0, math.inf),
+        lambda: PinchSpec.from_curvatures(FLAT, 1e-200, 1.0),
+        lambda: PinchSpec.from_curvatures(FLAT, 1.0, 1e200),
+    ])
+    def test_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_edges_accepted(self):
+        PinchSpec.from_curvatures(FLAT, 1e-150, 1e150)
+        SpaceCurvature.hyperbolic(1e-150)
+        SpaceCurvature.spherical(1e150)

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from curvshell.bodies import RevolutionBody, TrigSupportCurve, random_pinched_curve, spindle_support_curve
+import curvshell.verify as verify
+from curvshell.bodies import (
+    THETA_GRID,
+    RevolutionBody,
+    TrigSupportCurve,
+    random_pinched_curve,
+    spindle_support_curve,
+    unit_vectors,
+)
 from curvshell.bounds import outer_radius_bound, quotient_bound, quotient_maximizer, width_bound
 from curvshell.geometry import PinchSpec
 from curvshell.spindle import SpindleSpec
@@ -17,11 +25,84 @@ from curvshell.verify import (
     verify_batch,
     write_jsonl,
 )
-from curvshell.verify import _inscribed_support
+from curvshell.verify import _U_GRID, _inscribed_support, _maximin_lp
 
 from conftest import FLAT, HYPER, SPACES, SPHERE, random_pinch, rng_for
 
 PINCH_12 = PinchSpec.from_curvatures(FLAT, 1.0, 2.0)
+GRID = THETA_GRID.size
+
+
+def _highs_maximin(u, h):
+    """Reference solution of max t s.t. <o, u_j> + t <= h_j by HiGHS."""
+    from scipy.optimize import linprog
+
+    res = linprog(c=[0.0, 0.0, -1.0], A_ub=np.column_stack([u, np.ones(len(h))]), b_ub=h,
+                  bounds=[(None, None)] * 3, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0
+    return -res.fun
+
+
+class TestMaximinLP:
+    def assert_optimal(self, u, h):
+        o, t = _maximin_lp(u, h)
+        assert abs(t - _highs_maximin(u, h)) <= 1e-9
+        assert (h - u @ o - t).min() >= -1e-12
+
+    @pytest.mark.parametrize("k2", [1.1, 5.0, 1000.0])
+    @pytest.mark.parametrize("modes", [2, 8, 16])
+    def test_random_bodies(self, k2, modes):
+        pinch = PinchSpec.from_curvatures(FLAT, 1.0, k2)
+        for seed in range(6):
+            body = random_pinched_curve(pinch, seed=seed, modes=modes)
+            self.assert_optimal(_U_GRID, body.h(THETA_GRID))
+
+    def test_flat_spindles(self):
+        # rows come in exactly antipodal pairs: degenerate optima, o not unique
+        for r_t in np.linspace(PINCH_12.r2, PINCH_12.r1, 7):
+            body = spindle_support_curve(PINCH_12, float(r_t))
+            self.assert_optimal(_U_GRID, body.h(THETA_GRID))
+
+    def test_circles(self):
+        for t in ([0.0, 0.0], [0.4, -0.15]):
+            h = TrigSupportCurve(0.75).translate(t).h(THETA_GRID)
+            self.assert_optimal(_U_GRID, h)
+            o, r = _maximin_lp(_U_GRID, h)
+            assert np.linalg.norm(o - t) <= 1e-12
+            assert_allclose(r, 0.75, atol=1e-12)
+
+    def test_grid_offset(self):
+        thetas = THETA_GRID + 1e-3
+        body = random_pinched_curve(PinchSpec.from_curvatures(FLAT, 1.0, 5.0), seed=3)
+        self.assert_optimal(unit_vectors(thetas), body.h(thetas))
+
+    def test_scale_invariant(self):
+        # the stopping tolerance follows the size of the data, not 1
+        h = random_pinched_curve(PINCH_12, seed=5).h(THETA_GRID)
+        o, t = _maximin_lp(_U_GRID, h)
+        for lam in (1e-12, 1e12):
+            o_s, t_s = _maximin_lp(_U_GRID, lam * h)
+            assert abs(t_s / lam - t) <= 1e-12
+            assert np.linalg.norm(o_s / lam - o) <= 1e-9
+
+    def test_bland_rule(self, monkeypatch):
+        # Bland's rule from the first pivot: slower, but the same optimum
+        monkeypatch.setattr(verify, "_LP_BLAND_AFTER", 0)
+        self.assert_optimal(_U_GRID, spindle_support_curve(PINCH_12, 0.75).h(THETA_GRID))
+        body = random_pinched_curve(PinchSpec.from_curvatures(FLAT, 1.0, 5.0), seed=4)
+        self.assert_optimal(_U_GRID, body.h(THETA_GRID))
+
+    def test_named_failures(self):
+        h = np.ones(GRID)
+        with pytest.raises(ValueError, match="non-finite"):
+            _maximin_lp(_U_GRID, np.where(np.arange(GRID) == 5, np.nan, h))
+        with pytest.raises(ValueError, match="singular start basis"):
+            _maximin_lp(np.tile([1.0, 0.0], (GRID, 1)), h)
+        half = unit_vectors(np.linspace(0.0, 0.9 * math.pi, GRID))
+        with pytest.raises(ValueError, match="positively span"):
+            _maximin_lp(half, h)
 
 
 class TestInscribedBall:
@@ -35,6 +116,23 @@ class TestInscribedBall:
         center, r = inscribed_ball(TrigSupportCurve(0.75).translate(t))
         assert np.linalg.norm(center - t) <= 1e-9
         assert_allclose(r, 0.75, atol=1e-10)
+
+    def test_ball_skips_newton(self, monkeypatch):
+        # a ball's support gap is flat: Newton would spin on f'' ~ 0 at every
+        # grid minimum, so the polish must return before refining
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return refine(*args, **kwargs)
+
+        refine = verify.refine_critical_points
+        monkeypatch.setattr(verify, "refine_critical_points", counting)
+        circle = TrigSupportCurve(0.75)
+        for body in (circle, circle.translate([0.4, -0.15]), circle.translate([1e3, 2e3])):
+            _, r = inscribed_ball(body)
+            assert_allclose(r, 0.75, atol=1e-12)
+        assert not calls
 
     def test_flat_spindle(self):
         body = spindle_support_curve(PINCH_12, 0.75)
@@ -152,6 +250,12 @@ class TestCheckBounds:
         summary = summarize_worst_margins(recs)
         assert summary["all_satisfied"]
         assert summary["max_width"] <= width_bound(FLAT, PINCH_12).bound + 1e-7
+
+    def test_non_finite_shell_raises(self, monkeypatch):
+        # a failed solve must not read as a bound violation
+        monkeypatch.setattr(verify, "circumscribed_from_center", lambda body, c: math.inf)
+        with pytest.raises(ValueError, match="non-finite"):
+            check_bounds(random_pinched_curve(PINCH_12, seed=0), PINCH_12)
 
     def test_pinch_violation_raises(self):
         body = random_pinched_curve(PINCH_12, seed=0)
