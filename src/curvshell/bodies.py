@@ -24,7 +24,7 @@ GRID_N = 2048
 THETA_GRID = np.arange(GRID_N) * (2.0 * math.pi / GRID_N)
 _U_GRID = np.stack([np.cos(THETA_GRID), np.sin(THETA_GRID)], axis=1)
 
-PINCH_MARGIN = 1e-6  # generated curvature radii keep this distance from the band edges
+PINCH_MARGIN = 1e-6  # generated curvature radii keep PINCH_MARGIN * r1 from the band edges
 
 
 def unit_vectors(thetas):
@@ -245,9 +245,9 @@ def random_pinched_curve(pinch: PinchSpec, seed: int, modes: int = 8) -> TrigSup
 
     Deterministic in the 64-bit seed (counter-based generator).  Harmonic
     coefficients for modes 2..modes are drawn with a 1/n^2 amplitude decay,
-    then rescaled so the refined extrema of rho sit PINCH_MARGIN inside the
-    pinching band; the worst case (all-zero draw) degenerates to the circle
-    of radius (r1 + r2) / 2.
+    then rescaled so the refined extrema of rho sit PINCH_MARGIN * r1 inside
+    the pinching band, so a scaled pinching gives the scaled body; the worst
+    case (all-zero draw) degenerates to the circle of radius (r1 + r2) / 2.
     """
     if abs(pinch.r1 * pinch.kappa1 - 1.0) > 1e-9:
         raise ValueError("the random curve generator produces flat-geometry bodies")
@@ -264,7 +264,7 @@ def random_pinched_curve(pinch: PinchSpec, seed: int, modes: int = 8) -> TrigSup
     lo, _, hi, _ = _trig_rho_extrema(body)
     dev_up, dev_dn = hi - mid, mid - lo
     half_band = 0.5 * (pinch.r1 - pinch.r2)
-    target = max(half_band - PINCH_MARGIN, 0.0)
+    target = max(half_band - PINCH_MARGIN * pinch.r1, 0.0)
     scale = min(target / dev_up if dev_up > 0 else math.inf,
                 target / dev_dn if dev_dn > 0 else math.inf)
     if not math.isfinite(scale):

@@ -197,6 +197,10 @@ def _spindle_family_records(cfg: RunConfig, grid: int):
 
 def cmd_verify(cfg: RunConfig) -> int:
     space, pinch, args = cfg.space, cfg.pinch, cfg.args
+    if args.grid < 1:
+        raise ValueError(f"--grid must be at least 1 (got {args.grid})")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1 (got {args.jobs})")
     if args.family == "spindle":
         records = _spindle_family_records(cfg, args.grid)
         label = "r_tilde"

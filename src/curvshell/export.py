@@ -8,12 +8,10 @@ faithful in every geometry.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .geometry import angle_in_frame, axis_point_frame, distance
-from .spindle import ProfileCurve, numeric_radii, sample_profile
+from .spindle import ProfileCurve, profile_extreme_dists, sample_profile
 
 
 def profile_xy(profile: ProfileCurve, n: int = 1024):
@@ -25,31 +23,27 @@ def profile_xy(profile: ProfileCurve, n: int = 1024):
     center = profile.symmetry_center
     _, e1, e2 = axis_point_frame(space, 0, 0.0)
     d = distance(space, center, pts)
-    beta = np.array([angle_in_frame(space, center, e1, e2, p) for p in pts])
+    beta = angle_in_frame(space, center, e1, e2, pts)
     return np.stack([d * np.cos(beta), d * np.sin(beta)], axis=1), tags
 
 
 def write_profile_csv(profile: ProfileCurve, path, n: int = 1024) -> None:
     """Sampled profile as 'x,y,kappa' rows (azimuthal-equidistant for curved)."""
     xy, tags = profile_xy(profile, n)
+    rows = np.column_stack([xy, tags]).tolist()
     with open(path, "w") as fh:
-        fh.write("x,y,kappa\n")
-        for (x, y), kap in zip(xy, tags):
-            fh.write(f"{float(x)!r},{float(y)!r},{float(kap)!r}\n")
-
-
-def _circle_path(r: float, n: int = 256) -> str:
-    ts = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    pts = np.stack([r * np.cos(ts), -r * np.sin(ts)], axis=1)
-    coords = " L ".join(f"{x:.6f} {y:.6f}" for x, y in pts)
-    return f"M {coords} Z"
+        fh.write("x,y,kappa\n" + "".join(f"{x!r},{y!r},{kap!r}\n" for x, y, kap in rows))
 
 
 def profile_svg(profile: ProfileCurve, n: int = 1024, size: int = 640,
                 show_shell: bool = True) -> str:
-    """SVG drawing of the meridian, viewBox centered on the symmetry center."""
+    """SVG drawing of the meridian, viewBox centered on the symmetry center.
+
+    The dashed shell circles have the exact extreme distances from the
+    symmetry center as radii, written in full precision.
+    """
     xy, _ = profile_xy(profile, n)
-    r_in, r_out = numeric_radii(profile, max(n, 1024))
+    r_in, r_out = (float(r) for r in profile_extreme_dists(profile, profile.symmetry_center))
     view = 1.15 * r_out
     coords = " L ".join(f"{x:.6f} {y:.6f}" for x, y in zip(xy[:, 0], -xy[:, 1]))
     stroke = view / 160.0
@@ -62,7 +56,7 @@ def profile_svg(profile: ProfileCurve, n: int = 1024, size: int = 640,
     if show_shell:
         for r in (r_in, r_out):
             parts.append(
-                f'<path d="{_circle_path(r)}" fill="none" stroke="black" '
+                f'<circle cx="0" cy="0" r="{r!r}" fill="none" stroke="black" '
                 f'stroke-width="{stroke / 2:.6f}" stroke-dasharray="{3 * stroke:.6f} {3 * stroke:.6f}"/>'
             )
     parts.append(f'<circle cx="0" cy="0" r="{stroke:.6f}" fill="black"/>')

@@ -157,32 +157,37 @@ def curvature_from_sphere_radius(space: SpaceCurvature, radius: float) -> float:
     return k / math.tanh(k * radius)
 
 
-def law_of_cosines_side(space: SpaceCurvature, a: float, b: float, gamma: float) -> float:
+def law_of_cosines_side(space: SpaceCurvature, a, b, gamma):
     """Side opposite the angle gamma in a geodesic triangle with sides a, b.
 
     Evaluated in half-angle form (sin^2 or sinh^2 of half the side), which
     stays accurate in the flat limit k -> 0 and for nearly degenerate
-    triangles.
+    triangles.  Broadcasts over array arguments; scalar arguments give a
+    float.
     """
-    if a < 0 or b < 0:
+    a, b, gamma = (np.asarray(x, float) for x in (a, b, gamma))
+    if (a < 0).any() or (b < 0).any():
         raise ValueError("side lengths must be nonnegative")
-    if not 0.0 <= gamma <= math.pi:
+    if not ((0.0 <= gamma) & (gamma <= math.pi)).all():  # NaN fails too
         raise ValueError("angle must lie in [0, pi]")
-    sin_half_g2 = math.sin(gamma / 2.0) ** 2
+    sin_half_g2 = np.sin(gamma / 2.0) ** 2
     if space.kind == FLAT:
         diff = a - b
-        return math.sqrt(max(diff * diff + 4.0 * a * b * sin_half_g2, 0.0))
-    k = space.k
-    if space.kind == SPHERICAL:
-        if a >= math.pi / k or b >= math.pi / k:
+        side = np.sqrt(np.maximum(diff * diff + 4.0 * a * b * sin_half_g2, 0.0))
+    elif space.kind == SPHERICAL:
+        k = space.k
+        if (a >= math.pi / k).any() or (b >= math.pi / k).any():
             raise ValueError("spherical sides must be shorter than pi/k")
         # sin^2(kd/2) = sin^2(k(a-b)/2) + sin(ka) sin(kb) sin^2(g/2)
-        s = math.sin(k * (a - b) / 2.0) ** 2 + math.sin(k * a) * math.sin(k * b) * sin_half_g2
-        s = min(max(s, 0.0), 1.0)
-        return 2.0 * math.atan2(math.sqrt(s), math.sqrt(1.0 - s)) / k
-    # sinh^2(kd/2) = sinh^2(k(a-b)/2) + sinh(ka) sinh(kb) sin^2(g/2)
-    s = math.sinh(k * (a - b) / 2.0) ** 2 + math.sinh(k * a) * math.sinh(k * b) * sin_half_g2
-    return 2.0 * math.asinh(math.sqrt(max(s, 0.0))) / k
+        s = np.sin(k * (a - b) / 2.0) ** 2 + np.sin(k * a) * np.sin(k * b) * sin_half_g2
+        s = np.minimum(np.maximum(s, 0.0), 1.0)
+        side = 2.0 * np.arctan2(np.sqrt(s), np.sqrt(1.0 - s)) / k
+    else:
+        k = space.k
+        # sinh^2(kd/2) = sinh^2(k(a-b)/2) + sinh(ka) sinh(kb) sin^2(g/2)
+        s = np.sinh(k * (a - b) / 2.0) ** 2 + np.sinh(k * a) * np.sinh(k * b) * sin_half_g2
+        side = 2.0 * np.arcsinh(np.sqrt(np.maximum(s, 0.0))) / k
+    return float(side) if side.ndim == 0 else side
 
 
 def law_of_cosines_angle(space: SpaceCurvature, a: float, b: float, d: float) -> float:
@@ -314,6 +319,35 @@ def axis_point_frame(space: SpaceCurvature, axis: int, t: float):
     return point, u, v
 
 
+def axis_points(space: SpaceCurvature, t) -> np.ndarray:
+    """Points at signed distances t along axis 0; broadcasts over t.
+
+    The points of axis_point_frame(space, 0, t), for an array of t.
+    """
+    t = np.asarray(t, float)
+    if space.kind == FLAT:
+        return np.stack([t, np.zeros_like(t)], axis=-1)
+    phi = space.k * t
+    if space.kind == SPHERICAL:
+        s, c = np.sin(phi), np.cos(phi)
+    else:
+        s, c = np.sinh(phi), np.cosh(phi)
+    return np.stack([s, np.zeros_like(t), c], axis=-1)
+
+
+def axis_foot(space: SpaceCurvature, p: np.ndarray) -> float:
+    """Signed position t on axis 0 of the point of the axis nearest to p.
+
+    Closed form: the foot of the perpendicular from p to the axis geodesic
+    (on the sphere the nearer of the two critical points).
+    """
+    if space.kind == FLAT:
+        return float(p[0])
+    if space.kind == SPHERICAL:
+        return math.atan2(p[0], p[2]) / space.k
+    return math.atanh(p[0] / p[2]) / space.k
+
+
 def circle_point(space: SpaceCurvature, center: np.ndarray, u: np.ndarray,
                  v: np.ndarray, rho: float, theta) -> np.ndarray:
     """Point of the geodesic circle at polar angle theta in the frame (u, v)."""
@@ -335,16 +369,24 @@ def circle_tangent(space: SpaceCurvature, center: np.ndarray, u: np.ndarray,
 
 
 def angle_in_frame(space: SpaceCurvature, center: np.ndarray, u: np.ndarray,
-                   v: np.ndarray, p: np.ndarray) -> float:
-    """Polar angle of the direction from center to p in the frame (u, v)."""
+                   v: np.ndarray, p):
+    """Polar angle of the direction from center to p in the frame (u, v).
+
+    Broadcasts over points p of shape (..., dim); one point gives a float.
+    """
+    p = np.asarray(p, float)
     if space.kind == FLAT:
-        w = np.asarray(p, float) - center
-        return math.atan2(float(w @ v), float(w @ u))
-    if space.kind == SPHERICAL:
-        w = p - (p @ center) * center
-        return math.atan2(float(w @ v), float(w @ u))
-    w = p + _mink(p, center) * center
-    return math.atan2(float(_mink(w, v)), float(_mink(w, u)))
+        w = p - center
+        y, x = w @ v, w @ u
+    elif space.kind == SPHERICAL:
+        w = p - (p @ center)[..., None] * center
+        y, x = w @ v, w @ u
+    else:
+        w = p + _mink(p, center)[..., None] * center
+        y, x = _mink(w, v), _mink(w, u)
+    if np.ndim(y) == 0:  # libm atan2 keeps the spindle constructions' last bits
+        return math.atan2(float(y), float(x))
+    return np.arctan2(y, x)
 
 
 def geodesic_toward(space: SpaceCurvature, a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:

@@ -34,6 +34,7 @@ from .geometry import (
     curvature_from_sphere_radius,
     distance,
     geodesic_toward,
+    law_of_cosines_side,
     origin,
     tangent_inner,
 )
@@ -257,6 +258,45 @@ def numeric_radii(profile: ProfileCurve, n: int = 4096):
     lo = min(float(dists.min()), refine(int(np.argmin(dists)), 1.0))
     hi = max(float(dists.max()), refine(int(np.argmax(dists)), -1.0))
     return lo, hi
+
+
+def _ang_sep(x, y):
+    """Circular angular separation in [0, pi]; broadcasts."""
+    d = (x - y) % (2.0 * math.pi)
+    return np.minimum(d, 2.0 * math.pi - d)
+
+
+def profile_extreme_dists(profile: ProfileCurve, points):
+    """(min, max) geodesic distance from meridian-plane points to the profile.
+
+    points has shape (..., dim); both results have shape (...).  Over one
+    arc the distance grows with the central angle away from the direction
+    of the query point, so its extremes sit at the nearest and farthest
+    angles clamped to the arc's span and the law of cosines gives them in
+    closed form.  A point within 1e-14 of an arc's center is at the arc's
+    radius from all of it.
+    """
+    space = profile.space
+    pts = np.asarray(points, float)
+    deltas, gammas = [], []
+    for arc in profile.segments:
+        t_near = angle_in_frame(space, arc.center, arc.frame_u, arc.frame_v, pts)
+        sep_start = _ang_sep(arc.theta_start, t_near)
+        sep_end = _ang_sep(arc.theta_end, t_near)
+        near = arc.theta_start + (t_near - arc.theta_start) % (2.0 * math.pi)
+        far = arc.theta_start + (t_near + math.pi - arc.theta_start) % (2.0 * math.pi)
+        gammas.append((np.where(near <= arc.theta_end, _ang_sep(near, t_near),
+                                np.minimum(sep_start, sep_end)),
+                       np.where(far <= arc.theta_end, _ang_sep(far, t_near),
+                                np.maximum(sep_start, sep_end))))
+        deltas.append(distance(space, pts, arc.center))
+    # one law-of-cosines pass over (arc, near/far, point)
+    delta = np.array(deltas)[:, None]
+    radius = np.array([arc.radius for arc in profile.segments]).reshape(
+        (-1,) + (1,) * (delta.ndim - 1))
+    dists = np.where(delta < 1e-14, radius,
+                     law_of_cosines_side(space, delta, radius, np.array(gammas)))
+    return dists[:, 0].min(axis=0), dists[:, 1].max(axis=0)
 
 
 def profile_curvatures(profile: ProfileCurve):

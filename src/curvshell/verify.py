@@ -12,7 +12,8 @@ then resolves the exact contacts of the smooth problem (Newton on
 three spanning contacts, a ridge solve on an antipodal pair, or ascent
 line searches); a ball about the LP center needs none.  Rotationally
 symmetric bodies restrict the center to the rotation axis, where the
-problem is a 1-D concave maximization solved by golden section.
+maximum lies at the foot of an arc center or where two arcs' distance
+branches cross; both are closed-form or bracketed candidates.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from ._optim import golden_section_max, local_extrema_mask, refine_critical_points
 from .bodies import (
@@ -40,13 +41,12 @@ from .bounds import outer_radius_bound, quotient_bound, width_bound
 from .geometry import (
     PinchSpec,
     SpaceCurvature,
-    angle_in_frame,
-    axis_point_frame,
+    axis_foot,
+    axis_points,
+    circle_point,
     distance,
-    geodesic_toward,
-    law_of_cosines_side,
 )
-from .spindle import arc_point, segment_length
+from .spindle import ProfileCurve, arc_point, profile_extreme_dists, segment_length
 
 BOUND_SLACK = 1e-7  # tolerance absorbing discretization in the satisfied flags
 
@@ -371,66 +371,91 @@ def _inscribed_support(body, grid_offset=0.0):
 
 
 # ---------------------------------------------------------------------------
-# Distances from a point to an arc-represented profile.
+# Rotationally symmetric bodies: the inscribed center on the rotation axis.
 
-def _wrap_to(angle, base):
-    return base + (angle - base) % (2.0 * math.pi)
-
-
-def _ang_sep(x, y):
-    """Circular angular separation in [0, pi]."""
-    d = (x - y) % (2.0 * math.pi)
-    return min(d, 2.0 * math.pi - d)
+_AXIS_GRID = 17  # chord samples that bracket a crossing of two contact branches
 
 
-def _arc_extreme_dists(space, point, arc):
-    """(min, max) geodesic distance from point to one profile arc, closed form.
+def _axis_chord(profile: ProfileCurve):
+    """(lo, hi): the positions on axis 0 where the profile crosses the axis.
 
-    The distance to a circle point is monotone in the central angle away
-    from the direction of the query point, so the extremes over the arc
-    are attained at the clamped nearest/farthest angles of the span.
+    Along an arc the off-axis coordinate is y(theta) = a + b cos(theta) +
+    c sin(theta) in every model, so the crossings inside each span are
+    closed-form.  A crossing at a join may round to either arc.
     """
-    delta = float(distance(space, point, arc.center))
-    if delta < 1e-14:
-        return arc.radius, arc.radius
-    t_near = angle_in_frame(space, arc.center, arc.frame_u, arc.frame_v, point)
-    lo, hi = arc.theta_start, arc.theta_end
-
-    cand = _wrap_to(t_near, lo)
-    near_t = cand if cand <= hi else (lo if _ang_sep(lo, t_near) <= _ang_sep(hi, t_near) else hi)
-    cand = _wrap_to(t_near + math.pi, lo)
-    far_t = cand if cand <= hi else (lo if _ang_sep(lo, t_near) >= _ang_sep(hi, t_near) else hi)
-
-    d_near = law_of_cosines_side(space, delta, arc.radius, _ang_sep(near_t, t_near))
-    d_far = law_of_cosines_side(space, delta, arc.radius, _ang_sep(far_t, t_near))
-    return d_near, d_far
-
-
-def profile_extreme_dists(body: RevolutionBody, point):
-    """(min, max) geodesic distance from a meridian-plane point to the profile."""
-    mins, maxs = [], []
-    for seg in body.profile.segments:
-        lo, hi = _arc_extreme_dists(body.space, point, seg)
-        mins.append(lo)
-        maxs.append(hi)
-    return min(mins), max(maxs)
+    space, ts = profile.space, []
+    for arc in profile.segments:
+        y0, y1, y2 = circle_point(space, arc.center, arc.frame_u, arc.frame_v, arc.radius,
+                                  [0.0, 0.5 * math.pi, math.pi])[:, 1]
+        a, b = 0.5 * (y0 + y2), 0.5 * (y0 - y2)
+        amp = math.hypot(b, y1 - a)
+        if not abs(a) < amp:  # the circle misses the axis, or only touches it
+            continue
+        phi, half = math.atan2(y1 - a, b), math.acos(-a / amp)
+        for theta in (phi - half, phi + half):
+            w = (theta - arc.theta_start) % (2.0 * math.pi)
+            if w <= arc.span + 1e-12 or w >= 2.0 * math.pi - 1e-12:
+                ts.append(axis_foot(space, arc_point(space, arc, theta)))
+    if not ts:
+        raise ValueError("the profile does not cross its rotation axis")
+    return min(ts), max(ts)
 
 
 def _inscribed_revolution(body: RevolutionBody):
-    space = body.space
-    center = body.profile.symmetry_center
-    # the profile meets the axis at +- the outer radius: beyond that the
-    # axis point is outside the body and min-distance is not the inscribed
-    # objective, so the bracket must stay on this chord
-    reach = profile_extreme_dists(body, center)[1]
+    """Largest ball centered on the rotation axis.
 
-    def g(t):
-        point, _, _ = axis_point_frame(space, 0, t)
-        return profile_extreme_dists(body, point)[0]
+    g(t), the distance from the axis point at t to the profile, is the
+    smaller of one branch per arc.  Where the contact lies inside an arc,
+    that arc's branch is its radius minus the distance to its center,
+    whose top is the center's foot on the axis (closed form).  So the
+    maximum of g on the chord inside the body, where g has a single
+    maximum, sits at such a foot or where two branches cross.  The feet
+    are scored first, in one kernel call; the best one is the maximum when
+    its own arc touches there from inside its span.  Otherwise a chord
+    grid brackets the crossing next to the best sample, a root finder
+    solves it, and the candidates are scored again.
+    """
+    space, profile = body.space, body.profile
+    # beyond the chord the axis point is outside the body, where the distance
+    # to the profile is not the inscribed objective
+    lo, hi = _axis_chord(profile)
+    tie = 1e-12 * (hi - lo)
+    feet = np.clip([axis_foot(space, arc.center) for arc in profile.segments], lo, hi)
+    ts = np.unique(feet)
+    pts = axis_points(space, ts)
+    g = profile_extreme_dists(profile, pts)[0]
+    i = int(np.argmax(g))
+    for arc in (arc for arc, foot in zip(profile.segments, feet) if foot == ts[i]):
+        inner = arc.radius - float(distance(space, pts[i], arc.center))
+        if inner >= 0.0 and abs(g[i] - inner) <= tie:
+            return pts[i], float(g[i])
 
-    t_star, r = golden_section_max(g, -reach * (1 - 1e-9), reach * (1 - 1e-9), xtol=1e-12)
-    point, _, _ = axis_point_frame(space, 0, t_star)
-    return point, r
+    # per-arc branches on a chord grid: the active arc changes across a crossing
+    ts = np.unique(np.concatenate([np.linspace(lo, hi, _AXIS_GRID), feet]))
+    arcs = [ProfileCurve(space, (arc,), profile.symmetry_center) for arc in profile.segments]
+
+    def branches(t):
+        return np.array([profile_extreme_dists(a, axis_points(space, t))[0] for a in arcs])
+
+    def gap(t, a, b):
+        v = branches(t)
+        return float(v[a] - v[b])
+
+    vals = branches(ts)
+    i = int(np.argmax(vals.min(axis=0)))
+    cands = [ts[i]]
+    for j in (i - 1, i):
+        if j < 0 or j + 1 >= ts.size:
+            continue
+        a, b = int(np.argmin(vals[:, j])), int(np.argmin(vals[:, j + 1]))
+        # mirror arcs give equal branches on the axis: no crossing between them
+        if vals[b, j] - vals[a, j] > tie and vals[a, j + 1] - vals[b, j + 1] > tie:
+            cands.append(brentq(gap, ts[j], ts[j + 1], args=(a, b),
+                                xtol=tie, rtol=4.0 * np.finfo(float).eps))
+    pts = axis_points(space, cands)
+    g = profile_extreme_dists(profile, pts)[0]
+    i = int(np.argmax(g))
+    return pts[i], float(g[i])
 
 
 def inscribed_ball(body):
@@ -438,7 +463,8 @@ def inscribed_ball(body):
 
     Flat support bodies solve the concave maximin over the plane (objective
     certified to 1e-10); revolution bodies maximize along the rotation axis
-    (golden section, abscissa 1e-12).
+    over closed-form candidates: the feet of the arc centers and the
+    crossings of two arcs' distance branches.
     """
     if isinstance(body, RevolutionBody):
         return _inscribed_revolution(body)
@@ -453,10 +479,10 @@ def circumscribed_from_center(body, center):
     the per-arc closed form.
     """
     if isinstance(body, RevolutionBody):
-        lo, hi = profile_extreme_dists(body, np.asarray(center, float))
+        lo, hi = profile_extreme_dists(body.profile, center)
         if lo <= 0.0:
             raise ValueError("center must be interior to the body")
-        return hi
+        return float(hi)
     o = np.asarray(center, float)
     gmin, _, _ = _support_gap_minima(body, o)
     if gmin <= 0.0:
@@ -549,21 +575,20 @@ def rolling_check(body, pinch: PinchSpec, samples: int = 100, probes: int = 512,
 
 
 def _rolling_revolution(body: RevolutionBody, pinch: PinchSpec, samples: int, tol: float) -> bool:
-    space = body.space
-    segs = body.profile.segments
-    lengths = np.array([segment_length(space, s) for s in segs])
+    space, profile = body.space, body.profile
+    lengths = np.array([segment_length(space, s) for s in profile.segments])
     counts = np.maximum((samples * lengths / lengths.sum()).round().astype(int), 1)
-    for seg, m in zip(segs, counts):
+    c_in, c_out = [], []
+    for seg, m in zip(profile.segments, counts):
         thetas = seg.theta_start + (np.arange(m) + 0.5) / m * seg.span
-        for t in thetas:
-            p = arc_point(space, seg, float(t))
-            c_in = geodesic_toward(space, p, seg.center, pinch.r2)
-            c_out = geodesic_toward(space, p, seg.center, pinch.r1)
-            if profile_extreme_dists(body, c_in)[0] < pinch.r2 - tol:
-                return False
-            if profile_extreme_dists(body, c_out)[1] > pinch.r1 + tol:
-                return False
-    return True
+        # a tangent ball of radius r at a sample is centered on the sample's
+        # own normal geodesic, at signed distance rho - r from the arc center
+        for centers, r in ((c_in, pinch.r2), (c_out, pinch.r1)):
+            centers.append(circle_point(space, seg.center, seg.frame_u, seg.frame_v,
+                                        seg.radius - r, thetas))
+    n_in = int(counts.sum())
+    lo, hi = profile_extreme_dists(profile, np.concatenate(c_in + c_out))
+    return not ((lo[:n_in] < pinch.r2 - tol).any() or (hi[n_in:] > pinch.r1 + tol).any())
 
 
 # ---------------------------------------------------------------------------

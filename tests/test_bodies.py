@@ -100,6 +100,18 @@ class TestGenerator:
             touches_high = abs(hi - (1.0 - PINCH_MARGIN)) < 1e-9
             assert touches_low or touches_high
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e-150])
+    def test_scaled_pinching_scales_the_body(self, scale):
+        # the margin scales with r1, so the generator commutes with scaling
+        pinch = PinchSpec.from_curvatures(FLAT, 1.0 / scale, 2.0 / scale)
+        for seed in (0, 3, 17):
+            unit = random_pinched_curve(PINCH_12, seed=seed)
+            small = random_pinched_curve(pinch, seed=seed)
+            assert small.rho_cos.any()
+            assert_allclose(small.h0, scale * unit.h0, rtol=1e-12, atol=0)
+            for got, want in ((small.rho_cos, unit.rho_cos), (small.rho_sin, unit.rho_sin)):
+                assert_allclose(got, scale * want, rtol=0, atol=1e-12 * scale * unit.h0)
+
     def test_closure(self):
         for seed in (0, 11, 99):
             body = random_pinched_curve(PINCH_12, seed=seed)

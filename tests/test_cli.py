@@ -178,6 +178,14 @@ class TestBadInput:
          "supported range"),
         (["verify", "--flat", "--k1", "1", "--k2", "2", "--seeds", "5..1"],
          "empty seed range 5..1"),
+        (["verify", "--flat", "--k1", "1", "--k2", "2", "--family", "spindle", "--grid", "0"],
+         "--grid must be at least 1"),
+        (["verify", "--spherical", "1", "--k1", "1", "--k2", "2", "--family", "spindle",
+          "--grid", "-3"], "--grid must be at least 1"),
+        (["verify", "--flat", "--k1", "1", "--k2", "2", "--seeds", "0..3", "--jobs", "0"],
+         "--jobs must be at least 1"),
+        (["verify", "--flat", "--k1", "1", "--k2", "2", "--seeds", "0..3", "--jobs", "-2"],
+         "--jobs must be at least 1"),
     ])
     def test_rejected(self, capsys, argv, needle):
         code, _, err = run_cli(capsys, *argv)

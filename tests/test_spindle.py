@@ -1,23 +1,39 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from curvshell.bounds import outer_radius_bound, quotient_bound, quotient_maximizer, width_bound
-from curvshell.geometry import PinchSpec, point_reflect
+from curvshell.export import profile_svg
+from curvshell.geometry import (
+    PinchSpec,
+    SpaceCurvature,
+    axis_point_frame,
+    circle_circumference_factor,
+    circle_point,
+    distance,
+    origin,
+    point_reflect,
+)
 from curvshell.spindle import (
+    ProfileCurve,
     SpindleSpec,
+    arc_point,
     build_spindle,
     join_tangent_mismatch,
     numeric_radii,
+    profile_extreme_dists,
     profile_length,
     sample_profile,
     spindle_geometry,
     spindle_radii,
 )
 
-from conftest import FLAT, SPACES, SPHERE, random_pinch, rng_for
+from conftest import FLAT, HYPER, SPACES, SPHERE, random_pinch, rng_for
 
 # mpmath: join of the flat (1,2) spindle at r_tilde = 0.75
 D_TILDE_075 = 0.4330127018922193  # sqrt(0.1875)
@@ -198,3 +214,106 @@ class TestRadii:
             prof = build_spindle(SpindleSpec(space, p, r_t))
             _, hi = numeric_radii(prof, 2048)
             assert abs(hi - outer_radius_bound(space, p, r_t)) <= 1e-8
+
+
+def _dense_extreme_dists(profile, points, n=2**14):
+    """(min, max) distance to n + 1 evenly spaced points of every arc, ends
+    included, and the largest arc-length spacing of those samples."""
+    space = profile.space
+    lo = np.full(len(points), np.inf)
+    hi = np.full(len(points), -np.inf)
+    spacing = 0.0
+    for arc in profile.segments:
+        samples = arc_point(space, arc, np.linspace(arc.theta_start, arc.theta_end, n + 1))
+        d = distance(space, points[:, None, :], samples[None, :, :])
+        lo, hi = np.minimum(lo, d.min(axis=1)), np.maximum(hi, d.max(axis=1))
+        spacing = max(spacing, circle_circumference_factor(space, arc.radius) * arc.span / n)
+    return lo, hi, spacing
+
+
+@st.composite
+def _spindles_and_points(draw):
+    kind = draw(st.sampled_from(["flat", "spherical", "hyperbolic"]))
+    k = draw(st.floats(0.3, 3.0))
+    if kind == "flat":
+        space, kappa1 = FLAT, 10.0 ** draw(st.floats(-0.5, 0.7))
+    elif kind == "spherical":
+        # kappa1 >= k / 2 keeps r1 <= atan(2) / k, so every query point stays
+        # closer than pi / k to every arc center
+        space = SpaceCurvature.spherical(k)
+        kappa1 = k * draw(st.floats(0.5, 4.0))
+    else:
+        space = SpaceCurvature.hyperbolic(k)
+        kappa1 = k * (1.0 + draw(st.floats(0.05, 3.0)))
+    pinch = PinchSpec.from_curvatures(space, kappa1, kappa1 * (1.0 + draw(st.floats(0.05, 3.0))))
+    r_tilde = pinch.r2 + draw(st.floats(0.0, 1.0)) * (pinch.r1 - pinch.r2)
+    spec = SpindleSpec(space, pinch, r_tilde)
+    big_r = spindle_radii(spec)[1]
+    # geodesic polar coordinates about the center, inside and outside the body
+    polar = draw(st.lists(st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 2.0 * math.pi)),
+                          min_size=1, max_size=6))
+    o = origin(space)
+    _, e1, e2 = axis_point_frame(space, 0, 0.0)
+    points = np.array([circle_point(space, o, e1, e2, s * big_r, beta) for s, beta in polar])
+    return spec, points
+
+
+class TestProfileExtremeDists:
+    @settings(max_examples=60, deadline=None)
+    @given(_spindles_and_points())
+    def test_matches_dense_sampling(self, case):
+        spec, points = case
+        prof = build_spindle(spec)
+        scale = 1e-12 * spec.pinch.r1
+        ratio = spec.pinch.r1 / spec.pinch.r2
+        # the whole profile, and each arc alone, where the extremes are often
+        # clamped to an end of the arc's span
+        singles = [ProfileCurve(prof.space, (arc,), prof.symmetry_center) for arc in prof.segments]
+        for part in [prof] + singles:
+            lo, hi = profile_extreme_dists(part, points)
+            ref_lo, ref_hi, h = _dense_extreme_dists(part, points)
+            # exact extremes bound every sample: below the nearest, above the farthest
+            assert (lo <= ref_lo + scale).all() and (hi >= ref_hi - scale).all()
+            # and no sample is further off than the spacing allows: h / 2 along
+            # the arc, or the second-order h^2 (r1 / r2) / d at a smooth extremum
+            for got, ref in ((lo, ref_lo), (hi, ref_hi)):
+                tol = np.minimum(h / 2.0, 2.0 * ratio * h * h / np.maximum(ref, 1e-300)) + scale
+                assert (np.abs(got - ref) <= tol).all(), (got, ref, tol)
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_broadcasts_over_points(self, space):
+        p = random_pinch(space, rng_for(71))
+        prof = build_spindle(SpindleSpec(space, p, 0.4 * p.r1 + 0.6 * p.r2))
+        pts, _ = sample_profile(prof, 12)
+        lo, hi = profile_extreme_dists(prof, pts.reshape(3, 4, -1))
+        assert lo.shape == hi.shape == (3, 4)
+        one = [profile_extreme_dists(prof, q) for q in pts]
+        assert_allclose(lo.ravel(), [a for a, _ in one], rtol=0, atol=1e-15)
+        assert_allclose(hi.ravel(), [b for _, b in one], rtol=0, atol=1e-15)
+        assert np.abs(lo).max() <= 1e-7  # sampled points lie on the profile
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_center_of_circle(self, space):
+        p = random_pinch(space, rng_for(72))
+        prof = build_spindle(SpindleSpec(space, p, p.r1))
+        assert profile_extreme_dists(prof, prof.symmetry_center) == (p.r1, p.r1)
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_exact_at_the_symmetry_center(self, space):
+        p = random_pinch(space, rng_for(73))
+        for r_t in np.linspace(p.r2, p.r1, 9):
+            s = SpindleSpec(space, p, float(r_t))
+            got = profile_extreme_dists(build_spindle(s), origin(space))
+            assert_allclose(got, spindle_radii(s), rtol=1e-14, atol=0)
+
+
+class TestSvg:
+    @pytest.mark.parametrize("space,k1,k2", [(FLAT, 1.0, 2.0), (SPHERE, 1.0, 2.0), (HYPER, 2.0, 3.0)])
+    def test_shell_circles_have_the_closed_form_radii(self, space, k1, k2):
+        p = PinchSpec.from_curvatures(space, k1, k2)
+        for r_t in np.linspace(p.r2, p.r1, 5):
+            s = SpindleSpec(space, p, float(r_t))
+            svg = profile_svg(build_spindle(s), n=64)
+            radii = [float(r) for r in re.findall(r'<circle [^>]*r="([^"]+)"[^>]*stroke-dasharray', svg)]
+            assert len(radii) == 2
+            assert_allclose(radii, spindle_radii(s), rtol=1e-12, atol=0)

@@ -14,8 +14,15 @@ from curvshell.bodies import (
     unit_vectors,
 )
 from curvshell.bounds import outer_radius_bound, quotient_bound, quotient_maximizer, width_bound
-from curvshell.geometry import PinchSpec
-from curvshell.spindle import SpindleSpec
+from curvshell.geometry import (
+    PinchSpec,
+    axis_foot,
+    axis_point_frame,
+    curvature_from_sphere_radius,
+    law_of_cosines_angle,
+    origin,
+)
+from curvshell.spindle import Arc, ProfileCurve, SpindleSpec, spindle_radii
 from curvshell.verify import (
     check_bounds,
     circumscribed_from_center,
@@ -182,6 +189,44 @@ class TestInscribedBall:
             _, r = inscribed_ball(body)
             assert_allclose(r, r_t, atol=1e-8)
 
+    @pytest.mark.parametrize("space,k1,k2", [(SPHERE, 1.0, 2.0), (HYPER, 2.0, 3.0)])
+    def test_revolution_spindle_center_exact(self, space, k1, k2):
+        # the main arcs' centers have their foot at the symmetry center
+        p = PinchSpec.from_curvatures(space, k1, k2)
+        for r_t in np.linspace(p.r2, p.r1, 33):
+            s = SpindleSpec(space, p, float(r_t))
+            body = RevolutionBody.spindle(s)
+            center, r = inscribed_ball(body)
+            assert np.array_equal(center, body.profile.symmetry_center)
+            assert_allclose(r, spindle_radii(s)[0], rtol=0, atol=1e-15)
+            assert circumscribed_from_center(body, center) - spindle_radii(s)[1] <= 1e-15
+
+    @pytest.mark.parametrize("space", SPACES)
+    @pytest.mark.parametrize("xc,rho", [(-1.0, 1.2), (-1.2, 1.25)])
+    def test_revolution_crossing_contact(self, space, xc, rho):
+        # A D-shaped meridian: the arc of radius r about the origin, closed on
+        # the right by the arc of radius rho about the axis point xc < 0.  Both
+        # centers lie on the axis, so the two distance branches r - |t| and
+        # rho - (t - xc) cross at t* = (rho + xc - r) / 2, which is the center.
+        # With (-1.2, 1.25) the body ends at t = 0.05 on the right while its
+        # corners are r = 0.5 from the origin: axis points between 0.05 and
+        # 0.5 lie outside the body, up to 0.45 from the profile.
+        r = 0.5
+        o = origin(space)
+        _, e1, e2 = axis_point_frame(space, 0, 0.0)
+        c, cu, cv = axis_point_frame(space, 0, xc)
+        at_o = law_of_cosines_angle(space, r, -xc, rho)
+        at_c = law_of_cosines_angle(space, rho, -xc, r)
+        profile = ProfileCurve(space, (
+            Arc(o, r, math.pi - at_o, math.pi + at_o, e1, e2, curvature_from_sphere_radius(space, r)),
+            Arc(c, rho, -at_c, at_c, cu, cv, curvature_from_sphere_radius(space, rho)),
+        ), o)
+        center, got = inscribed_ball(RevolutionBody(profile))
+        t_star = 0.5 * (rho + xc - r)
+        assert_allclose(got, r + t_star, rtol=1e-14)
+        assert_allclose(axis_foot(space, center), t_star, rtol=1e-12)
+        assert abs(center[1]) <= 1e-15
+
     def test_revolution_hemisphere_edge(self):
         # kappa1 = 0 on the sphere: the big circle is a great circle
         p = PinchSpec.from_curvatures(SPHERE, 0.0, 3.0)
@@ -320,6 +365,18 @@ class TestRolling:
         # outer ball of an over-tightened pinch must fail
         tighter = PinchSpec.from_curvatures(space, p.kappa1 * 1.5 + space.k * 0.5, p.kappa2 * 2.0)
         assert not rolling_check(body, tighter, samples=100)
+
+
+    @pytest.mark.parametrize("space,k1,k2", [(SPHERE, 1.0, 2.0), (HYPER, 2.0, 3.0)])
+    def test_revolution_spindles_fail_a_tighter_pinch(self, space, k1, k2):
+        # 1% inside the band on both sides: the caps of radius r2 no longer
+        # hold the inner ball, and the main arcs of radius r1 leave the outer one
+        p = PinchSpec.from_curvatures(space, k1, k2)
+        tighter = PinchSpec.from_curvatures(space, k1 * 1.01, k2 / 1.01)
+        for r_t in np.linspace(p.r2, p.r1, 9):
+            body = RevolutionBody.spindle(SpindleSpec(space, p, float(r_t)))
+            assert rolling_check(body, p, samples=100)
+            assert not rolling_check(body, tighter, samples=100)
 
 
 class TestBatchIO:
