@@ -162,6 +162,11 @@ class ArcSupportCurve:
         out[right | left] = self.pinch.r2
         return out if out.ndim else float(out)
 
+    def rho_prime(self, thetas):
+        """0: rho is constant inside each arc."""
+        out = np.zeros_like(np.asarray(thetas, float))
+        return out if out.ndim else float(out)
+
     def boundary(self, thetas):
         thetas = np.asarray(thetas, float)
         u = unit_vectors(thetas)

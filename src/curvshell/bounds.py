@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._optim import golden_section_max
 from .geometry import FLAT, SPHERICAL, PinchSpec, SpaceCurvature, admissible
 
 _SQRT2 = math.sqrt(2.0)
@@ -93,9 +92,11 @@ def width_profile(space: SpaceCurvature, pinch: PinchSpec, r_tilde: float) -> fl
 def width_bound(space: SpaceCurvature, pinch: PinchSpec) -> WidthBoundResult:
     """Sharp bound on the shell width R - r over all bodies with this pinching.
 
-    The bound itself is closed-form; the maximizing inscribed radius uses
-    the flat closed form and a bracketed golden-section maximization of
-    the width profile in the curved cases.
+    The bound and its maximizing inscribed radius r* are both closed-form.
+    At r* the two legs of the extremal right triangle are equal: with
+    dd = r1 - r2 and u = r1 - r*, u = dd / sqrt(2) in the plane, and u
+    solves sin(ku) = sqrt(2) sin(k dd / 2) on the sphere and sinh(ku) =
+    sqrt(2) sinh(k dd / 2) in the hyperbolic plane.  The bound is 2u - dd.
     """
     if not admissible(space, pinch.kappa1, pinch.kappa2):
         raise ValueError("pinching is not admissible for this space")
@@ -109,13 +110,12 @@ def width_bound(space: SpaceCurvature, pinch: PinchSpec) -> WidthBoundResult:
     else:
         k = space.k
         if space.kind == SPHERICAL:
-            # (2/k) arccos sqrt(cos(k dd)) - dd, in cancellation-free form
-            bound = (2.0 / k) * math.asin(_SQRT2 * math.sin(k * dd / 2.0)) - dd
+            # k u = arccos sqrt(cos(k dd)), in cancellation-free form
+            ku = math.asin(_SQRT2 * math.sin(k * dd / 2.0))
         else:
-            bound = (2.0 / k) * math.asinh(_SQRT2 * math.sinh(k * dd / 2.0)) - dd
-        r_star, _ = golden_section_max(
-            lambda r: width_profile(space, pinch, r), small_r, big_r, xtol=1e-12
-        )
+            ku = math.asinh(_SQRT2 * math.sinh(k * dd / 2.0))
+        bound = (2.0 / k) * ku - dd
+        r_star = min(max(big_r - ku / k, small_r), big_r)
     return WidthBoundResult(bound, r_star, outer_radius_bound(space, pinch, r_star))
 
 

@@ -78,7 +78,20 @@ def _admissibility_reason(space: SpaceCurvature, k1: float, k2: float) -> str:
             f"(got kappa1 = {k1})")
 
 
+def _jobs_from_env() -> int:
+    token = os.environ.get(_JOBS_ENV, "1")
+    try:
+        jobs = int(token)
+    except ValueError:
+        raise ValueError(f"{_JOBS_ENV} must be an integer (got {token!r})") from None
+    if jobs < 1:
+        raise ValueError(f"{_JOBS_ENV} must be at least 1 (got {jobs})")
+    return jobs
+
+
 def _build_config(args) -> RunConfig:
+    if args.command == "verify" and args.jobs is None:
+        args.jobs = _jobs_from_env()
     space = _space_from(args)
     if not admissible(space, args.k1, args.k2):
         raise ValueError(_admissibility_reason(space, args.k1, args.k2))
@@ -240,8 +253,17 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with code 1, like any other invalid input; 2 means
+    a verification run found a bound violation."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="curvshell",
         description="Shell bounds for curvature-pinched convex bodies in "
                     "constant-curvature spaces",
@@ -272,8 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--family", choices=["spindle"], default=None,
                        help="verify the extremal family instead of random bodies")
     p_ver.add_argument("--grid", type=int, default=33, help="family grid size")
-    p_ver.add_argument("--jobs", type=int,
-                       default=int(os.environ.get(_JOBS_ENV, "1")),
+    p_ver.add_argument("--jobs", type=int, default=None,
                        help=f"parallel workers (default ${_JOBS_ENV} or 1)")
     p_ver.add_argument("--report", default=None, help="write JSON-lines records here")
     p_ver.add_argument("--summary", default=None, help="write a summary CSV here")

@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
+from ._optim import bracketed_min
 from .bounds import outer_radius_bound
 from .geometry import (
     PinchSpec,
@@ -229,8 +229,8 @@ def numeric_radii(profile: ProfileCurve, n: int = 4096):
     """(min, max) distance from the symmetry center, scan plus local refinement.
 
     Samples the profile at n points, then polishes the minimum and maximum
-    within the owning segments by bounded 1-D optimization of the distance
-    along the segment's angular parameter.
+    within the owning segments: a grid zoom on the segment's angular
+    parameter, bracketed by the scan's neighbouring samples.
     """
     if n < 1000:
         raise ValueError("the radii scan needs at least 1000 samples")
@@ -246,14 +246,21 @@ def numeric_radii(profile: ProfileCurve, n: int = 4096):
                          len(profile.segments) - 1)
 
     def refine(i, sign):
-        seg = profile.segments[seg_idx[i]]
+        j = seg_idx[i]
+        seg = profile.segments[j]
+        # the sample's angle and the angular spacing of the scan on this segment
+        per_len = seg.span / max(lengths[j], 1e-300)
+        theta = seg.theta_start + (s_vals[i] - starts[j]) * per_len
+        pad = (total / n) * per_len
+        lo = max(theta - pad, seg.theta_start)
+        hi = min(theta + pad, seg.theta_end)
 
-        def f(theta):
-            return sign * float(distance(space, center, arc_point(space, seg, theta)))
+        def f(thetas):
+            return sign * distance(space, center, arc_point(space, seg, thetas))
 
-        res = minimize_scalar(f, bounds=(seg.theta_start, seg.theta_end),
-                              method="bounded", options={"xatol": 1e-13})
-        return sign * res.fun
+        # an extremum inside the arc is flat to second order in the angle, so
+        # the best sample of a 1e-8 bracket gives it to rounding
+        return sign * bracketed_min(f, lo, hi, xtol=1e-8)[1]
 
     lo = min(float(dists.min()), refine(int(np.argmin(dists)), 1.0))
     hi = max(float(dists.max()), refine(int(np.argmax(dists)), -1.0))

@@ -10,10 +10,14 @@ is solved exactly by a primal simplex on its 3-row dual, and certified
 by primal and dual feasibility of the final basis.  An active-set polish
 then resolves the exact contacts of the smooth problem (Newton on
 three spanning contacts, a ridge solve on an antipodal pair, or ascent
-line searches); a ball about the LP center needs none.  Rotationally
-symmetric bodies restrict the center to the rotation axis, where the
-maximum lies at the foot of an arc center or where two arcs' distance
-branches cross; both are closed-form or bracketed candidates.
+line searches); a ball about the LP center needs none.  The
+circumscribed radius Newton-polishes the largest grid distances from the
+center, using the exact derivatives of the boundary along its normal
+angle.  Rotationally symmetric bodies restrict the center to the
+rotation axis, where the maximum lies at the foot of an arc center
+(closed form) or where two arcs' distance branches cross (Brent's
+bracketed root finder).  All 1-D searches come from `_optim`, so the
+module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -25,9 +29,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
-from ._optim import golden_section_max, local_extrema_mask, refine_critical_points
+from ._optim import (
+    bracketed_root,
+    golden_section_max,
+    local_extrema_mask,
+    refine_critical_points,
+)
 from .bodies import (
     GRID_N,
     THETA_GRID,
@@ -450,8 +458,7 @@ def _inscribed_revolution(body: RevolutionBody):
         a, b = int(np.argmin(vals[:, j])), int(np.argmin(vals[:, j + 1]))
         # mirror arcs give equal branches on the axis: no crossing between them
         if vals[b, j] - vals[a, j] > tie and vals[a, j + 1] - vals[b, j + 1] > tie:
-            cands.append(brentq(gap, ts[j], ts[j + 1], args=(a, b),
-                                xtol=tie, rtol=4.0 * np.finfo(float).eps))
+            cands.append(bracketed_root(lambda t: gap(t, a, b), ts[j], ts[j + 1], xtol=tie))
     pts = axis_points(space, cands)
     g = profile_extreme_dists(profile, pts)[0]
     i = int(np.argmax(g))
@@ -475,8 +482,8 @@ def circumscribed_from_center(body, center):
     """Largest geodesic distance from center to the boundary.
 
     The center must be interior.  Support bodies scan the boundary over the
-    direction grid and polish the top local maxima; revolution bodies use
-    the per-arc closed form.
+    direction grid and Newton-polish the top local maxima; revolution
+    bodies use the per-arc closed form.
     """
     if isinstance(body, RevolutionBody):
         lo, hi = profile_extreme_dists(body.profile, center)
@@ -492,14 +499,28 @@ def circumscribed_from_center(body, center):
     _, max_mask = local_extrema_mask(d2)
     cand = THETA_GRID[max_mask]
     cand = cand[np.argsort(d2[max_mask])][-4:]
-    step = 2.0 * math.pi / GRID_N
-    best = math.sqrt(float(d2.max()))
-    for t0 in cand:
-        res = minimize_scalar(
-            lambda t: -float(((np.asarray(body.boundary(t)) - o) ** 2).sum()),
-            bounds=(t0 - step, t0 + step), method="bounded", options={"xatol": 1e-13})
-        best = max(best, math.sqrt(-res.fun))
-    return best
+
+    # f = |b - o|^2 / 2 along the normal angle t, where b' = rho u_perp:
+    # f' = rho <b - o, u_perp>,  f'' = rho' <b - o, u_perp> + rho^2 - rho <b - o, u>
+    def arms(t):
+        rel = np.asarray(body.boundary(t)) - o
+        u = unit_vectors(t)
+        return (rel * u).sum(axis=-1), rel[..., 1] * u[..., 0] - rel[..., 0] * u[..., 1]
+
+    def fp(t):
+        return np.asarray(body.rho(t), float) * arms(t)[1]
+
+    def fpp(t):
+        along, across = arms(t)
+        rho = np.asarray(body.rho(t), float)
+        return np.asarray(body.rho_prime(t), float) * across + rho * (rho - along)
+
+    # the distance is flat to second order at a maximum: a 1e-10 step leaves
+    # an error far below rounding, and near-round bodies (f'' ~ 0) stop there
+    # instead of stepping through rounding noise
+    t = refine_critical_points(fp, fpp, cand, 2.0 * math.pi / GRID_N, tol=1e-10)
+    polished = ((np.asarray(body.boundary(t)) - o) ** 2).sum(axis=-1)
+    return math.sqrt(max(float(d2.max()), float(polished.max())))
 
 
 def _pinch_precondition(body, pinch: PinchSpec):

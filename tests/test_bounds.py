@@ -98,6 +98,38 @@ class TestWidthBound:
             assert p.r2 <= r.maximizer_r <= p.r1
             assert abs(r.attained_R - r.maximizer_r - r.bound) <= 1e-10
 
+    @pytest.mark.parametrize("kind", ["spherical", "hyperbolic"])
+    def test_closed_form_maximizer(self, kind):
+        # Oracle: the stationary point of the width profile at 50 digits.  With
+        # C = cos(k dd), the right triangle gives cos(k d) = C / cos(k u) for the
+        # cap offset d at u = r1 - r, so d'(u) = -1 where
+        # C sin(ku) = cos(ku) sqrt(cos^2(ku) - C^2) (cosh, sinh in H^2).
+        mp = pytest.importorskip("mpmath")
+        rng = rng_for(24)
+        for _ in range(150):
+            k = 10.0 ** rng.uniform(-0.5, 0.5)
+            space = getattr(SpaceCurvature, kind)(k)
+            kappa1 = (k * (1.0 + 10.0 ** rng.uniform(-2.0, 0.5)) if kind == "hyperbolic"
+                      else 10.0 ** rng.uniform(-0.5, 0.7))
+            p = pinch(space, kappa1, kappa1 * (1.0 + 10.0 ** rng.uniform(-6.0, math.log10(3.0))))
+            got = width_bound(space, p)
+            assert p.r2 <= got.maximizer_r <= p.r1
+            r1_ulp = math.ulp(p.r1)
+            assert (abs(width_profile(space, p, got.maximizer_r) - got.bound)
+                    <= 1e-12 * got.bound + 4.0 * r1_ulp)
+            with mp.workdps(50):
+                kk, r1 = mp.mpf(k), mp.mpf(p.r1)
+                dd = r1 - mp.mpf(p.r2)
+                cos, sin, sign = (mp.cos, mp.sin, 1) if kind == "spherical" else (mp.cosh, mp.sinh, -1)
+                big_c = cos(kk * dd)
+
+                def stationary(u):
+                    c = cos(kk * u)
+                    return big_c * sin(kk * u) - c * mp.sqrt(max(sign * (c * c - big_c * big_c), 0))
+
+                u_star = mp.findroot(stationary, (mp.mpf(0), dd), solver="anderson")
+                assert abs(mp.mpf(got.maximizer_r) - (r1 - u_star)) <= 4 * r1_ulp
+
     def test_flat_limit(self):
         for k in (1e-2, 1e-3, 1e-4):
             flat_val = width_bound(FLAT, pinch(FLAT, 1.0, 2.0)).bound
@@ -106,7 +138,7 @@ class TestWidthBound:
                 assert abs(val - flat_val) / flat_val <= 10.0 * k * k
 
     def test_maximizer_flat_limit(self):
-        # the numerically located curved maximizer approaches the flat closed form
+        # the closed-form curved maximizer approaches the flat one
         flat_r = width_bound(FLAT, pinch(FLAT, 1.0, 2.0)).maximizer_r
         for k in (1e-2, 1e-3):
             for space in (SpaceCurvature.spherical(k), SpaceCurvature.hyperbolic(k)):

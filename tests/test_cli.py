@@ -193,6 +193,50 @@ class TestBadInput:
         assert needle in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value,needle", [
+        ("abc", "CURVSHELL_JOBS must be an integer (got 'abc')"),
+        ("1.5", "CURVSHELL_JOBS must be an integer"),
+        ("0", "CURVSHELL_JOBS must be at least 1 (got 0)"),
+        ("-2", "CURVSHELL_JOBS must be at least 1 (got -2)"),
+    ])
+    def test_bad_jobs_env(self, capsys, monkeypatch, value, needle):
+        monkeypatch.setenv("CURVSHELL_JOBS", value)
+        code, _, err = run_cli(capsys, "verify", "--flat", "--k1", "1", "--k2", "2",
+                               "--seeds", "0..1")
+        assert code == 1
+        assert needle in err
+        assert "Traceback" not in err
+
+    def test_jobs_env_read_only_when_used(self, capsys, monkeypatch):
+        # an explicit --jobs wins, and bound has no workers to configure
+        monkeypatch.setenv("CURVSHELL_JOBS", "abc")
+        code, out, _ = run_cli(capsys, "verify", "--flat", "--k1", "1", "--k2", "2",
+                               "--seeds", "0..1", "--jobs", "1")
+        assert code == 0 and "2/2 satisfied" in out
+        code, out, _ = run_cli(capsys, "bound", "--flat", "--k1", "1", "--k2", "2")
+        assert code == 0 and "width_bound" in out
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["verify", "--flat", "--k1", "1", "--k2", "2", "--grid", "x"],
+         "argument --grid: invalid int value: 'x'"),
+        (["verify", "--flat", "--k1", "1", "--seeds", "0..1"],
+         "the following arguments are required: --k2"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_usage_error_exits_1(self, capsys, argv, needle):
+        # exit code 2 is kept for a found bound violation
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: curvshell") and needle in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "CURVSHELL_JOBS" in capsys.readouterr().out
+
     def test_tiny_scale_in_range(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--flat", "--k1", "1e150", "--k2", "2e150",
                                "--seeds", "0..0")

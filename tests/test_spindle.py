@@ -180,6 +180,18 @@ class TestRadii:
             assert abs(hi - big_r) <= 1e-9
 
     @pytest.mark.parametrize("space", SPACES)
+    def test_refinement_between_samples(self, space):
+        # scans of 1001 and 1777 points miss the extremes by up to ~1e-6; the
+        # bracketed refinement recovers them to rounding
+        rng = rng_for(40)
+        for _ in range(6):
+            p = random_pinch(space, rng)
+            prof = build_spindle(SpindleSpec(space, p, rng.uniform(p.r2, p.r1)))
+            want = profile_extreme_dists(prof, prof.symmetry_center)
+            for n in (1001, 1777):
+                assert_allclose(numeric_radii(prof, n), want, rtol=0, atol=4 * math.ulp(p.r1))
+
+    @pytest.mark.parametrize("space", SPACES)
     def test_width_sharpness(self, space):
         rng = rng_for(36)
         for _ in range(10):

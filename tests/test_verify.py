@@ -34,7 +34,7 @@ from curvshell.verify import (
 )
 from curvshell.verify import _U_GRID, _inscribed_support, _maximin_lp
 
-from conftest import FLAT, HYPER, SPACES, SPHERE, random_pinch, rng_for
+from conftest import FLAT, HYPER, SPACES, SPHERE, cut_lens_profile, random_pinch, rng_for
 
 PINCH_12 = PinchSpec.from_curvatures(FLAT, 1.0, 2.0)
 GRID = THETA_GRID.size
@@ -227,6 +227,20 @@ class TestInscribedBall:
         assert_allclose(axis_foot(space, center), t_star, rtol=1e-12)
         assert abs(center[1]) <= 1e-15
 
+    @pytest.mark.parametrize("shape", [(), (1.0, 0.4, -0.3, 0.55)])
+    def test_revolution_crossing_between_samples(self, monkeypatch, shape):
+        # The D-shaped meridians above cross at the middle of their chord,
+        # which the chord grid samples; the cut lens crosses between samples,
+        # so the bracketed root finder has to solve it.
+        profile, t_star, r_star = cut_lens_profile(*shape)
+        calls, root = [], verify.bracketed_root
+        monkeypatch.setattr(verify, "bracketed_root",
+                            lambda *a, **kw: calls.append(a) or root(*a, **kw))
+        center, got = inscribed_ball(RevolutionBody(profile))
+        assert calls
+        assert_allclose(got, r_star, rtol=1e-14)
+        assert_allclose(center, [t_star, 0.0], rtol=0, atol=1e-14)
+
     def test_revolution_hemisphere_edge(self):
         # kappa1 = 0 on the sphere: the big circle is a great circle
         p = PinchSpec.from_curvatures(SPHERE, 0.0, 3.0)
@@ -258,6 +272,26 @@ class TestCircumscribed:
         center, r = inscribed_ball(body)
         big_r = circumscribed_from_center(body, center)
         assert big_r <= outer_radius_bound(FLAT, PINCH_12, min(max(r, 0.5), 1.0)) + 1e-7
+
+    @pytest.mark.parametrize("k2", [1.1, 2.0, 5.0])
+    def test_matches_bounded_brent(self, k2):
+        # reference: scipy's bounded Brent search on |b(t) - o|^2 within a
+        # grid step of the largest grid value
+        from scipy.optimize import minimize_scalar
+
+        pinch = PinchSpec.from_curvatures(FLAT, 1.0, k2)
+        step = 2.0 * math.pi / GRID
+        bodies = [random_pinched_curve(pinch, seed=s) for s in range(12)]
+        bodies += [spindle_support_curve(pinch, r) for r in np.linspace(pinch.r2, pinch.r1, 5)]
+        for body in bodies:
+            center, _ = inscribed_ball(body)
+            d2 = ((body.boundary(THETA_GRID) - center) ** 2).sum(axis=1)
+            t0 = THETA_GRID[np.argmax(d2)]
+            res = minimize_scalar(lambda t: -((body.boundary(t) - center) ** 2).sum(),
+                                  bounds=(t0 - step, t0 + step), method="bounded",
+                                  options={"xatol": 1e-13})
+            want = math.sqrt(max(d2.max(), -res.fun))
+            assert abs(circumscribed_from_center(body, center) - want) <= 1e-15
 
     def test_revolution(self):
         p = random_pinch(SPHERE, rng_for(53))
