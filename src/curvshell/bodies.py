@@ -8,10 +8,19 @@ encodings are provided: a truncated trigonometric series for rho (the
 random generator's output) and the exact piecewise-trigonometric
 support function of a flat rounded spindle.  Rotationally symmetric
 bodies in the curved geometries are carried by their meridian profile.
+
+The fixed direction grids (THETA_GRID, and `angle_grid`'s arrays for the
+rolling check's default sample and probe counts) are shared read-only
+arrays.  Evaluating a body on one of them reads cos(n t) and sin(n t)
+from a per-process table keyed by the grid and the mode count instead of
+recomputing them; the tables hold the same values, so results are
+bit-identical to an evaluation on a copy of the grid.  Any other angle
+array is evaluated directly, so the tables never grow with query sizes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -21,15 +30,76 @@ from .geometry import PinchSpec, SpaceCurvature, curvature_from_sphere_radius
 from .spindle import ProfileCurve, SpindleSpec, build_spindle, spindle_geometry
 
 GRID_N = 2048
-THETA_GRID = np.arange(GRID_N) * (2.0 * math.pi / GRID_N)
-_U_GRID = np.stack([np.cos(THETA_GRID), np.sin(THETA_GRID)], axis=1)
 
 PINCH_MARGIN = 1e-6  # generated curvature radii keep PINCH_MARGIN * r1 from the band edges
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _even_angles(n):
+    return np.arange(n) * (2.0 * math.pi / n)
+
+
+# the support grid, and rolling_check's default sample and probe grids
+_SHARED_GRIDS = {n: _even_angles(n) for n in (GRID_N, 100, 512)}
+_read_only(*_SHARED_GRIDS.values())
+THETA_GRID = _SHARED_GRIDS[GRID_N]
+
+
+def _frames_of(grid):
+    """(cos t, sin t, u, u_perp) of a shared grid, read-only."""
+    c, s = np.cos(grid), np.sin(grid)
+    return _read_only(c, s, np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1))
+
+
+_FRAMES = {n: _frames_of(grid) for n, grid in _SHARED_GRIDS.items()}
+
+
+def _shared(thetas) -> bool:
+    return _SHARED_GRIDS.get(thetas.size) is thetas
+
+
+@functools.lru_cache(maxsize=16)  # a few mode counts on each shared grid
+def _mode_table(n, count):
+    """(cos(m t), sin(m t)) over the shared grid of size n, modes m = 2 .. count + 1."""
+    arg = np.multiply.outer(_SHARED_GRIDS[n], np.arange(2, 2 + count))
+    return _read_only(np.cos(arg), np.sin(arg))
+
+
+def angle_grid(n):
+    """n evenly spaced angles on [0, 2 pi): the shared read-only grid when there is one."""
+    grid = _SHARED_GRIDS.get(n)
+    return grid if grid is not None else _even_angles(n)
+
+
+def cos_sin(thetas):
+    """(cos t, sin t), from the table on a shared grid."""
+    thetas = np.asarray(thetas, float)
+    if _shared(thetas):
+        return _FRAMES[thetas.size][:2]
+    return np.cos(thetas), np.sin(thetas)
+
+
+def _unit_frames(thetas):
+    """Unit normals u and tangents u_perp stacked on the last axis."""
+    if _shared(thetas):
+        return _FRAMES[thetas.size][2:]
+    c, s = np.cos(thetas), np.sin(thetas)
+    return np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)
+
+
 def unit_vectors(thetas):
     thetas = np.asarray(thetas, float)
+    if _shared(thetas):
+        return _FRAMES[thetas.size][2]
     return np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
+
+
+_U_GRID = unit_vectors(THETA_GRID)
 
 
 class TrigSupportCurve:
@@ -54,6 +124,8 @@ class TrigSupportCurve:
 
     def _trig(self, thetas):
         thetas = np.asarray(thetas, float)
+        if _shared(thetas):
+            return _mode_table(thetas.size, self.ns.size)
         arg = np.multiply.outer(thetas, self.ns)
         return np.cos(arg), np.sin(arg)
 
@@ -61,15 +133,17 @@ class TrigSupportCurve:
         """Support values (distance from the origin to the tangent line)."""
         thetas = np.asarray(thetas, float)
         cos_a, sin_a = self._trig(thetas)
+        cos_t, sin_t = cos_sin(thetas)
         out = self.h0 + cos_a @ self._h_cos + sin_a @ self._h_sin
-        out = out + np.cos(thetas) * self.translation[0] + np.sin(thetas) * self.translation[1]
+        out = out + cos_t * self.translation[0] + sin_t * self.translation[1]
         return out
 
     def h_prime(self, thetas):
         thetas = np.asarray(thetas, float)
         cos_a, sin_a = self._trig(thetas)
+        cos_t, sin_t = cos_sin(thetas)
         out = -sin_a @ (self._h_cos * self.ns) + cos_a @ (self._h_sin * self.ns)
-        out = out - np.sin(thetas) * self.translation[0] + np.cos(thetas) * self.translation[1]
+        out = out - sin_t * self.translation[0] + cos_t * self.translation[1]
         return out
 
     def rho(self, thetas):
@@ -89,8 +163,7 @@ class TrigSupportCurve:
     def boundary(self, thetas):
         """Boundary points x = h u + h' u_perp for normal angles thetas."""
         thetas = np.asarray(thetas, float)
-        u = unit_vectors(thetas)
-        up = np.stack([-np.sin(thetas), np.cos(thetas)], axis=-1)
+        u, up = _unit_frames(thetas)
         return self.h(thetas)[..., None] * u + self.h_prime(thetas)[..., None] * up
 
     def translate(self, t):
@@ -169,8 +242,7 @@ class ArcSupportCurve:
 
     def boundary(self, thetas):
         thetas = np.asarray(thetas, float)
-        u = unit_vectors(thetas)
-        up = np.stack([-np.sin(thetas), np.cos(thetas)], axis=-1)
+        u, up = _unit_frames(thetas)
         h = np.asarray(self.h(thetas))
         hp = np.asarray(self.h_prime(thetas))
         return h[..., None] * u + hp[..., None] * up

@@ -18,6 +18,14 @@ rotation axis, where the maximum lies at the foot of an arc center
 (closed form) or where two arcs' distance branches cross (Brent's
 bracketed root finder).  All 1-D searches come from `_optim`, so the
 module needs numpy alone.
+
+Evaluations on the fixed direction grids (the 2048-direction support
+grid, and the rolling check's default 100 samples and 512 probes) read
+the shared trigonometric tables of `bodies`, so a body costs no cos or
+sin on them.  The flat rolling check's outer test takes the square root
+of the largest squared distance: sqrt is monotone and correctly rounded,
+so the verdict is the distance test's bit for bit, without a
+(samples, probes, 2) array and its norm.
 """
 
 from __future__ import annotations
@@ -40,6 +48,8 @@ from .bodies import (
     GRID_N,
     THETA_GRID,
     RevolutionBody,
+    angle_grid,
+    cos_sin,
     curvature_range,
     random_pinched_curve,
     rho_range,
@@ -57,8 +67,6 @@ from .geometry import (
 from .spindle import ProfileCurve, arc_point, profile_extreme_dists, segment_length
 
 BOUND_SLACK = 1e-7  # tolerance absorbing discretization in the satisfied flags
-
-_U_GRID = unit_vectors(THETA_GRID)
 
 
 @dataclass(frozen=True)
@@ -106,11 +114,13 @@ def _gap_fns(body, o):
 
     def f(t):
         t = np.asarray(t, float)
-        return body.h(t) - (np.cos(t) * o[0] + np.sin(t) * o[1])
+        cos_t, sin_t = cos_sin(t)
+        return body.h(t) - (cos_t * o[0] + sin_t * o[1])
 
     def fp(t):
         t = np.asarray(t, float)
-        return body.h_prime(t) + np.sin(t) * o[0] - np.cos(t) * o[1]
+        cos_t, sin_t = cos_sin(t)
+        return body.h_prime(t) + sin_t * o[0] - cos_t * o[1]
 
     def fpp(t):
         return np.asarray(body.rho(t), float) - np.asarray(f(t), float)
@@ -184,8 +194,10 @@ def _maximin_lp(a_dirs, b_vals):
     holds to _LP_TOL (max |h| + |o|), relative to the size of the
     rounding in the slacks, whatever the scale of the body, with
     lam_B >= 0: primal and dual feasibility certify that t is the
-    maximum.  Raises ValueError on non-finite data, a start basis that
-    does not span, or a pivot count above the number of rows.
+    maximum.  The basis rows count as tight, so their rounding residue
+    never picks one of them to enter again.  Raises ValueError on
+    non-finite data, a start basis that does not span, or a pivot count
+    above the number of rows.
     """
     h = np.asarray(b_vals, float)
     rows = np.column_stack([a_dirs, np.ones(h.size)])
@@ -204,6 +216,9 @@ def _maximin_lp(a_dirs, b_vals):
         x = m_inv @ h[basis]  # (o, t) with the basis rows tight
         lam = m_inv[2]  # basis weights: rows[basis].T @ lam = (0, 0, 1)
         slack = h - rows @ x
+        # the basis rows are tight by construction: their rounding residue
+        # must not let one of them enter again, which cycles on dense grids
+        slack[basis] = 0.0
         tol = _LP_TOL * (h_size + math.hypot(x[0], x[1]))
         violated = slack < -tol
         if not violated.any():
@@ -258,8 +273,12 @@ def _best_spread_triple(thetas):
     return best
 
 
-def _newton_triple(body, o, tri):
-    """Newton iteration on three active contacts: intersect the tangent cuts."""
+def _newton_triple(body, o, tri, size):
+    """Newton iteration on three active contacts: intersect the tangent cuts.
+
+    Stops once a step is below 1e-14 (size + |o|), size being the scale of
+    the body's support values.
+    """
     tri = np.array(tri, float)
     for _ in range(20):
         f, fp, fpp = _gap_fns(body, o)
@@ -271,37 +290,43 @@ def _newton_triple(body, o, tri):
         except np.linalg.LinAlgError:
             return o, None
         o_new, t_val = sol[:2], sol[2]
-        if np.linalg.norm(o_new - o) <= 1e-14 * (1.0 + np.linalg.norm(o)):
+        if np.linalg.norm(o_new - o) <= 1e-14 * (size + np.linalg.norm(o)):
             return o_new, t_val
         o = o_new
     return o, t_val
 
 
-def _line_search(body, o, direction, span):
-    """Bounded golden maximization of the refined gap along a ray."""
+def _line_search(body, o, direction, size):
+    """Bounded golden maximization of the refined gap along a ray.
+
+    The ray runs 2 (size + |o|) from o and is resolved to 1e-12 size.
+    """
 
     def g(s):
         return _support_gap_minima(body, o + s * direction)[0]
 
-    s_star, _ = golden_section_max(g, 0.0, span, xtol=1e-12)
+    span = 2.0 * (size + float(np.linalg.norm(o)))
+    s_star, _ = golden_section_max(g, 0.0, span, xtol=1e-12 * size)
     return o + s_star * direction
 
 
-def _ridge_newton(body, o, theta1, theta2):
+def _ridge_newton(body, o, theta1, theta2, size):
     """Solve the two-contact optimum: equal branch values, antipodal normals.
 
     Newton on F(o) = (g1 - g2, theta1 - theta2 - pi), using
     d theta_i / d o = u'(theta_i) / f''(theta_i); quadratic convergence to
     machine precision where golden section would hit the sqrt(eps) floor.
+    Steps and curvatures are measured against size + |o|, size being the
+    scale of the body's support values.
     """
     t1, t2 = theta1, theta2
-    scale = 1.0 + float(np.linalg.norm(o))
+    scale = size + float(np.linalg.norm(o))
     for _ in range(40):
         g1, t1 = _branch_min(body, o, t1)
         g2, t2 = _branch_min(body, o, t2)
         _, _, fpp = _gap_fns(body, o)
         c1, c2 = float(fpp(t1)), float(fpp(t2))
-        if c1 <= 1e-12 or c2 <= 1e-12:
+        if c1 <= 1e-12 * size or c2 <= 1e-12 * size:
             return o, False
         u1, u2 = unit_vectors(np.array([t1, t2]))
         up1 = np.array([-u1[1], u1[0]])
@@ -330,11 +355,14 @@ def _inscribed_support(body, grid_offset=0.0):
     spanning contacts -> Newton; an antipodal pair -> ridge maximization;
     fewer contacts -> ascent line searches).  grid_offset rotates the
     initial grid and must not change the result (restart stability).
+    Every tolerance of the polish is relative to size = max |h| over the
+    grid, so a scaled body gives the scaled center and radius.
     """
-    thetas = THETA_GRID + grid_offset
-    u_grid = unit_vectors(thetas) if grid_offset else _U_GRID
+    thetas = THETA_GRID + grid_offset if grid_offset else THETA_GRID
+    u_grid = unit_vectors(thetas)
     h_grid = np.asarray(body.h(thetas), float)
     o, t_upper = _maximin_lp(u_grid, h_grid)
+    size = float(np.abs(h_grid).max())
 
     best_o, best_val = o, _support_gap_minima(body, o)[0]
     for _ in range(16):
@@ -343,15 +371,15 @@ def _inscribed_support(body, grid_offset=0.0):
             best_o, best_val = o, gmin
         if ball:  # every direction touches
             return o, gmin
-        window = max(10.0 * max(t_upper - gmin, 0.0), 1e-11) + 1e-13
+        window = max(10.0 * max(t_upper - gmin, 0.0), 1e-11 * size) + 1e-13 * size
         act = t_min[v_min <= v_min[0] + window]
         if _spanning(act):
             tri = _best_spread_triple(act)
             if tri is not None:
-                o_new, t_val = _newton_triple(body, o, tri)
+                o_new, t_val = _newton_triple(body, o, tri, size)
                 if t_val is not None:
                     g_new, _, _ = _support_gap_minima(body, o_new)
-                    if g_new >= t_val - 1e-12:
+                    if g_new >= t_val - 1e-12 * size:
                         return (o_new, g_new) if g_new >= best_val else (best_o, best_val)
                     # a branch outside the triple dips lower: iterate with it
                     o, t_upper = o_new, t_val
@@ -359,9 +387,9 @@ def _inscribed_support(body, grid_offset=0.0):
         if act.size >= 2:
             d_ang = abs((act[0] - act[1]) % (2.0 * math.pi) - math.pi)
             if d_ang < 0.1:
-                o_new, ok = _ridge_newton(body, o, act[0], act[1])
+                o_new, ok = _ridge_newton(body, o, act[0], act[1], size)
                 g_new, _, _ = _support_gap_minima(body, o_new)
-                if ok and g_new >= best_val - 1e-13:
+                if ok and g_new >= best_val - 1e-13 * size:
                     return o_new, g_new
                 if g_new > best_val:
                     best_o, best_val = o_new, g_new
@@ -373,7 +401,7 @@ def _inscribed_support(body, grid_offset=0.0):
         nrm = np.linalg.norm(direction)
         if nrm < 1e-12:
             return best_o, best_val
-        o = _line_search(body, o, direction / nrm, 2.0 * (1.0 + np.linalg.norm(o)))
+        o = _line_search(body, o, direction / nrm, size)
     gmin, _, _ = _support_gap_minima(body, o)
     return (o, gmin) if gmin >= best_val else (best_o, best_val)
 
@@ -577,13 +605,13 @@ def rolling_check(body, pinch: PinchSpec, samples: int = 100, probes: int = 512,
     (probes per ball)."""
     if isinstance(body, RevolutionBody):
         return _rolling_revolution(body, pinch, samples, tol)
-    th = np.arange(samples) * (2.0 * math.pi / samples)
+    th = angle_grid(samples)
     x = np.asarray(body.boundary(th))
     u = unit_vectors(th)
     c_in = x - pinch.r2 * u
     c_out = x - pinch.r1 * u
 
-    th_probe = np.arange(probes) * (2.0 * math.pi / probes)
+    th_probe = angle_grid(probes)
     u_probe = unit_vectors(th_probe)
     h_probe = np.asarray(body.h(th_probe))
     x_probe = np.asarray(body.boundary(th_probe))
@@ -591,8 +619,11 @@ def rolling_check(body, pinch: PinchSpec, samples: int = 100, probes: int = 512,
     inner_gap = h_probe[None, :] - c_in @ u_probe.T  # support gap per (sample, probe)
     if inner_gap.min() < pinch.r2 - tol:
         return False
-    d_out = np.linalg.norm(x_probe[None, :, :] - c_out[:, None, :], axis=2)
-    return bool(d_out.max() <= pinch.r1 + tol)
+    # sqrt is monotone and correctly rounded, so the root of the largest
+    # squared distance is the largest distance bit for bit
+    dx = x_probe[None, :, 0] - c_out[:, None, 0]
+    dy = x_probe[None, :, 1] - c_out[:, None, 1]
+    return math.sqrt(float((dx * dx + dy * dy).max())) <= pinch.r1 + tol
 
 
 def _rolling_revolution(body: RevolutionBody, pinch: PinchSpec, samples: int, tol: float) -> bool:

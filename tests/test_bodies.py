@@ -10,11 +10,14 @@ from curvshell.bodies import (
     RevolutionBody,
     THETA_GRID,
     TrigSupportCurve,
+    angle_grid,
     closure_residual,
+    cos_sin,
     curvature_range,
     random_pinched_curve,
     rho_range,
     spindle_support_curve,
+    unit_vectors,
 )
 from curvshell.bounds import width_bound
 from curvshell.geometry import PinchSpec
@@ -71,6 +74,53 @@ class TestTrigSupportCurve:
         assert_allclose((kmin2, kmax2), (kmin / lam, kmax / lam), rtol=1e-12)
         with pytest.raises(ValueError):
             body.scale(0.0)
+
+
+# the shared grids: the support grid and rolling_check's default sample and probe grids
+SHARED_GRIDS = (THETA_GRID, angle_grid(100), angle_grid(512))
+TABLED = ("h", "h_prime", "rho", "rho_prime", "rho_second", "boundary")
+
+
+class TestGridTables:
+    @pytest.mark.parametrize("modes", [2, 8, 16])
+    def test_tables_match_direct_evaluation(self, modes):
+        # a copy of a grid is not the shared array, so it is evaluated directly
+        base = random_pinched_curve(PINCH_12, seed=modes, modes=modes)
+        bodies = (base, base.translate([0.3, -0.2]), base.rotate(0.7), base.scale(3.5),
+                  base.translate([-1e-3, 2.0]).rotate(-2.1).scale(1e-6))
+        for grid in SHARED_GRIDS:
+            direct = grid.copy()
+            for body in bodies:
+                for name in TABLED:
+                    got, want = getattr(body, name)(grid), getattr(body, name)(direct)
+                    assert np.array_equal(got, want), (name, grid.size)
+            assert np.array_equal(unit_vectors(grid), unit_vectors(direct))
+            for got, want in zip(cos_sin(grid), cos_sin(direct)):
+                assert np.array_equal(got, want)
+
+    def test_arc_body_boundary_matches(self):
+        body = spindle_support_curve(PINCH_12, 0.7)
+        for grid in SHARED_GRIDS:
+            assert np.array_equal(body.boundary(grid), body.boundary(grid.copy()))
+
+    def test_grids_and_tables_are_read_only(self):
+        body = random_pinched_curve(PINCH_12, seed=1)
+        for grid in SHARED_GRIDS:
+            assert not grid.flags.writeable
+            cos_a, sin_a = body._trig(grid)
+            for table in (cos_a, sin_a, *cos_sin(grid), unit_vectors(grid)):
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0] = 1.0
+        assert angle_grid(2048) is THETA_GRID
+
+    def test_other_grids_are_evaluated_directly(self):
+        # other sizes get a fresh grid with the same spacing, so no query adds a table
+        grid = angle_grid(101)
+        assert grid.flags.writeable and angle_grid(101) is not grid
+        assert np.array_equal(grid, np.arange(101) * (2.0 * math.pi / 101))
+        body = random_pinched_curve(PINCH_12, seed=2)
+        assert body._trig(grid)[0].flags.writeable
 
 
 class TestGenerator:

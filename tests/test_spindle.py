@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from curvshell.bounds import outer_radius_bound, quotient_bound, quotient_maximizer, width_bound
-from curvshell.export import profile_svg
+from curvshell.export import profile_svg, profile_xy
 from curvshell.geometry import (
     PinchSpec,
     SpaceCurvature,
@@ -329,3 +329,12 @@ class TestSvg:
             radii = [float(r) for r in re.findall(r'<circle [^>]*r="([^"]+)"[^>]*stroke-dasharray', svg)]
             assert len(radii) == 2
             assert_allclose(radii, spindle_radii(s), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("space,k1,k2", [(FLAT, 1.0, 2.0), (SPHERE, 1.0, 2.0), (HYPER, 2.0, 3.0)])
+    def test_path_matches_per_point_formatting(self, space, k1, k2):
+        p = PinchSpec.from_curvatures(space, k1, k2)
+        for r_t in np.linspace(p.r2, p.r1, 5):
+            profile = build_spindle(SpindleSpec(space, p, float(r_t)))
+            xy, _ = profile_xy(profile, 257)
+            want = " L ".join(f"{x:.6f} {y:.6f}" for x, y in zip(xy[:, 0], -xy[:, 1]))
+            assert f'<path d="M {want} Z"' in profile_svg(profile, n=257)

@@ -32,12 +32,13 @@ from curvshell.verify import (
     verify_batch,
     write_jsonl,
 )
-from curvshell.verify import _U_GRID, _inscribed_support, _maximin_lp
+from curvshell.verify import _inscribed_support, _maximin_lp
 
 from conftest import FLAT, HYPER, SPACES, SPHERE, cut_lens_profile, random_pinch, rng_for
 
 PINCH_12 = PinchSpec.from_curvatures(FLAT, 1.0, 2.0)
 GRID = THETA_GRID.size
+_U_GRID = unit_vectors(THETA_GRID)
 
 
 def _highs_maximin(u, h):
@@ -101,6 +102,13 @@ class TestMaximinLP:
         body = random_pinched_curve(PinchSpec.from_curvatures(FLAT, 1.0, 5.0), seed=4)
         self.assert_optimal(_U_GRID, body.h(THETA_GRID))
 
+    def test_dense_grid(self):
+        # a basis row's rounding residue just below -tol once let it enter
+        # again, and the pivots cycled until the cap
+        thetas = np.arange(2 ** 16) * (2.0 * math.pi / 2 ** 16)
+        body = random_pinched_curve(PinchSpec.from_curvatures(FLAT, 1.0, 5.0), seed=0)
+        self.assert_optimal(unit_vectors(thetas), body.h(thetas))
+
     def test_named_failures(self):
         h = np.ones(GRID)
         with pytest.raises(ValueError, match="non-finite"):
@@ -156,6 +164,35 @@ class TestInscribedBall:
             for ang in np.linspace(0, 2 * math.pi, 9, endpoint=False):
                 off = center + 1e-5 * np.array([math.cos(ang), math.sin(ang)])
                 assert _support_gap_minima(body, off)[0] <= r + 1e-12
+
+    def test_grid_offset_zero_uses_the_shared_grid(self, monkeypatch):
+        # only the shared grid object itself reads the cached trigonometric tables
+        body = random_pinched_curve(PINCH_12, seed=3)
+        full_grid_calls = []
+        trig = TrigSupportCurve._trig
+
+        def spy(self, thetas):
+            thetas = np.asarray(thetas, float)
+            if thetas.size == GRID:
+                full_grid_calls.append(thetas is THETA_GRID)
+            return trig(self, thetas)
+
+        monkeypatch.setattr(TrigSupportCurve, "_trig", spy)
+        _inscribed_support(body, 0.0)
+        assert full_grid_calls and all(full_grid_calls)
+
+    @pytest.mark.parametrize("lam", [1e-12, 1e-6, 1e-3, 1e3, 1e6, 1e12])
+    def test_scale_relative_polish(self, lam):
+        # the polish's tolerances follow the size of the body: a scaled body
+        # has the scaled center and radius on the ridge and triple paths alike
+        tri = TrigSupportCurve(1.0, [0.0, 0.5], [0.0, 0.0]).translate([0.3, -0.1]).rotate(0.4)
+        for body in (random_pinched_curve(PINCH_12, seed=0),
+                     random_pinched_curve(PinchSpec.from_curvatures(FLAT, 1.0, 5.0), seed=1),
+                     tri):
+            o, r = inscribed_ball(body)
+            o_s, r_s = inscribed_ball(body.scale(lam))
+            assert abs(r_s - lam * r) <= 1e-15 * lam * r
+            assert np.linalg.norm(o_s - lam * o) <= 1e-15 * lam * r
 
     def test_restart_invariance(self):
         rng = rng_for(51)
@@ -372,7 +409,41 @@ class TestCheckBounds:
         assert abs(scaled.quotient - base.quotient) <= 1e-12
 
 
+def _rolling_3d_norm(body, pinch, samples=100, probes=512, tol=1e-9):
+    """The flat rolling test with the outer distances from np.linalg.norm
+    over a (samples, probes, 2) array: the reference for the squared form."""
+    th = np.arange(samples) * (2.0 * math.pi / samples)
+    x, u = body.boundary(th), unit_vectors(th)
+    c_in, c_out = x - pinch.r2 * u, x - pinch.r1 * u
+    th_probe = np.arange(probes) * (2.0 * math.pi / probes)
+    inner_gap = body.h(th_probe)[None, :] - c_in @ unit_vectors(th_probe).T
+    if inner_gap.min() < pinch.r2 - tol:
+        return False
+    d_out = np.linalg.norm(body.boundary(th_probe)[None, :, :] - c_out[:, None, :], axis=2)
+    return bool(d_out.max() <= pinch.r1 + tol)
+
+
 class TestRolling:
+    def test_squared_distances_match_the_norm(self):
+        # the acceptance corpus's pinches and criterion 9's flat spindles, as
+        # given, 1% tighter on both sides (every verdict flips) and 1% tighter
+        # on the outer side only, where the outer test alone decides
+        cases = [(PINCH_12, spindle_support_curve(PINCH_12, r_t))
+                 for r_t in (PINCH_12.r2, 0.6, width_bound(FLAT, PINCH_12).maximizer_r, 0.9, PINCH_12.r1)]
+        for k1, k2 in [(1.0, 1.1), (1.0, 2.0), (1.0, 5.0), (2.0, 3.0), (0.5, 4.0)]:
+            pinch = PinchSpec.from_curvatures(FLAT, k1, k2)
+            cases += [(pinch, random_pinched_curve(pinch, seed=s)) for s in range(0, 1000, 40)]
+        outer_flips = 0
+        for pinch, body in cases:
+            tighter = PinchSpec.from_curvatures(FLAT, pinch.kappa1 * 1.01, pinch.kappa2 / 1.01)
+            outer = PinchSpec.from_curvatures(FLAT, pinch.kappa1 * 1.01, pinch.kappa2)
+            assert rolling_check(body, pinch) is _rolling_3d_norm(body, pinch) is True
+            assert rolling_check(body, tighter) is _rolling_3d_norm(body, tighter) is False
+            verdict = rolling_check(body, outer)
+            assert verdict is _rolling_3d_norm(body, outer)
+            outer_flips += not verdict
+        assert outer_flips >= 50
+
     def test_circle(self):
         assert rolling_check(TrigSupportCurve(0.75), PINCH_12, samples=50)
 
