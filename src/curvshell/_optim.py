@@ -6,8 +6,6 @@ import math
 
 import numpy as np
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 _ZOOM_N = 33  # samples per bracketed_min round: the bracket narrows 16-fold
 _ROOT_RTOL = 4.0 * float(np.finfo(float).eps)  # relative part of bracketed_root's tolerance
 _ROOT_MAXITER = 500  # a safety cap: a simple root takes about ten steps
@@ -39,39 +37,6 @@ def refine_critical_points(d1, d2, t0: np.ndarray, halfwidth: float, iters: int 
         if np.max(np.abs(step)) < tol:
             break
     return t
-
-
-def golden_section_max(f, a: float, b: float, xtol: float = 1e-12):
-    """Maximize a unimodal function on [a, b] by golden-section search.
-
-    Returns (x, f(x)).  The bracket never leaves [a, b], which matters for
-    objectives with hard domain boundaries.
-    """
-    if not b >= a:
-        raise ValueError("need b >= a")
-    span = b - a
-    if span <= xtol:
-        x = 0.5 * (a + b)
-        return x, f(x)
-    c = a + _INV_PHI_SQ * span
-    d = a + _INV_PHI * span
-    fc, fd = f(c), f(d)
-    n = int(math.ceil(math.log(xtol / span) / math.log(_INV_PHI))) if span > xtol else 0
-    for _ in range(max(n, 0)):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            span = b - a
-            c = a + _INV_PHI_SQ * span
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            span = b - a
-            d = a + _INV_PHI * span
-            fd = f(d)
-        if span <= xtol:
-            break
-    x = c if fc > fd else d
-    return x, max(fc, fd)
 
 
 def bracketed_min(f, a: float, b: float, xtol: float):

@@ -110,6 +110,8 @@ class TrigSupportCurve:
     vector enters h only (rho is translation invariant).
     """
 
+    space = SpaceCurvature.flat()
+
     def __init__(self, h0, rho_cos=(), rho_sin=(), translation=(0.0, 0.0)):
         self.h0 = float(h0)
         self.rho_cos = np.asarray(rho_cos, float)
@@ -192,10 +194,12 @@ class ArcSupportCurve:
     normal angle phi = atan2(a, d).  rho is r1 or r2 accordingly.
     """
 
+    space = SpaceCurvature.flat()
+
     def __init__(self, pinch: PinchSpec, r_tilde: float):
-        if abs(pinch.r1 * pinch.kappa1 - 1.0) > 1e-9:
+        if not pinch.space.is_flat:
             raise ValueError("spindle support curves are flat-geometry bodies")
-        spec = SpindleSpec(SpaceCurvature.flat(), pinch, r_tilde)
+        spec = SpindleSpec(pinch.space, pinch, r_tilde)
         geom = spindle_geometry(spec)
         self.pinch = pinch
         self.r_tilde = min(max(r_tilde, pinch.r2), pinch.r1)
@@ -326,7 +330,7 @@ def random_pinched_curve(pinch: PinchSpec, seed: int, modes: int = 8) -> TrigSup
     the pinching band, so a scaled pinching gives the scaled body; the worst
     case (all-zero draw) degenerates to the circle of radius (r1 + r2) / 2.
     """
-    if abs(pinch.r1 * pinch.kappa1 - 1.0) > 1e-9:
+    if not pinch.space.is_flat:
         raise ValueError("the random curve generator produces flat-geometry bodies")
     if modes < 2:
         raise ValueError("need at least the n = 2 harmonic")

@@ -48,8 +48,7 @@ class StabilityResult:
 
 
 def _require_flat(pinch: PinchSpec, what: str) -> None:
-    # flat pinchings satisfy r_i = 1/kappa_i exactly
-    if abs(pinch.r1 * pinch.kappa1 - 1.0) > 1e-9 or abs(pinch.r2 * pinch.kappa2 - 1.0) > 1e-9:
+    if not pinch.space.is_flat:
         raise ValueError(f"{what} is defined for flat (Euclidean) pinchings only")
 
 

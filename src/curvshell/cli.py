@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -65,19 +64,6 @@ def _space_from(args) -> SpaceCurvature:
     return SpaceCurvature.hyperbolic(args.hyperbolic)
 
 
-def _admissibility_reason(space: SpaceCurvature, k1: float, k2: float) -> str:
-    if not (math.isfinite(k1) and math.isfinite(k2)):
-        return f"curvature bounds must be finite (got kappa1 = {k1}, kappa2 = {k2})"
-    if not k2 >= k1:
-        return f"kappa2 = {k2} must be >= kappa1 = {k1}"
-    if space.kind == "flat":
-        return f"flat geometry requires kappa1 > 0 (got kappa1 = {k1})"
-    if space.kind == "spherical":
-        return f"spherical geometry requires kappa1 >= 0 (got kappa1 = {k1})"
-    return (f"hyperbolic geometry requires kappa1 > sqrt(-c) = {space.k} "
-            f"(got kappa1 = {k1})")
-
-
 def _jobs_from_env() -> int:
     token = os.environ.get(_JOBS_ENV, "1")
     try:
@@ -93,8 +79,6 @@ def _build_config(args) -> RunConfig:
     if args.command == "verify" and args.jobs is None:
         args.jobs = _jobs_from_env()
     space = _space_from(args)
-    if not admissible(space, args.k1, args.k2):
-        raise ValueError(_admissibility_reason(space, args.k1, args.k2))
     return RunConfig(space, PinchSpec.from_curvatures(space, args.k1, args.k2), args)
 
 

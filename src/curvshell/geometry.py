@@ -100,20 +100,30 @@ class SpaceCurvature:
         return cls(c, SPHERICAL if c > 0 else HYPERBOLIC)
 
 
-def admissible(space: SpaceCurvature, kappa1: float, kappa2: float) -> bool:
-    """Whether (kappa1, kappa2) is a valid normal-curvature pinching for the space.
+def _admissibility_violation(space: SpaceCurvature, kappa1: float, kappa2: float) -> str | None:
+    """The condition that (kappa1, kappa2) breaks as a pinching for the space, or None.
 
-    Total predicate: finite kappa2 >= kappa1 plus the lower-bound condition
-    that depends on the sign of c (kappa1 > 0 in the plane, kappa1 >= 0 on
-    the sphere, kappa1 > sqrt(-c) in hyperbolic space).  Never raises.
+    A pinching needs finite kappa2 >= kappa1 plus the lower-bound
+    condition that depends on the sign of c: kappa1 > 0 in the plane,
+    kappa1 >= 0 on the sphere, kappa1 > sqrt(-c) in hyperbolic space.
     """
-    if not (kappa2 >= kappa1 and math.isfinite(kappa2)):
-        return False
-    if space.kind == FLAT:
-        return kappa1 > 0.0
-    if space.kind == SPHERICAL:
-        return kappa1 >= 0.0
-    return kappa1 > space.k
+    if not (math.isfinite(kappa1) and math.isfinite(kappa2)):
+        return f"curvature bounds must be finite (got kappa1 = {kappa1}, kappa2 = {kappa2})"
+    if not kappa2 >= kappa1:
+        return f"kappa2 = {kappa2} must be >= kappa1 = {kappa1}"
+    if space.kind == FLAT and not kappa1 > 0.0:
+        return f"flat geometry requires kappa1 > 0 (got kappa1 = {kappa1})"
+    if space.kind == SPHERICAL and not kappa1 >= 0.0:
+        return f"spherical geometry requires kappa1 >= 0 (got kappa1 = {kappa1})"
+    if space.kind == HYPERBOLIC and not kappa1 > space.k:
+        return f"hyperbolic geometry requires kappa1 > sqrt(-c) = {space.k} (got kappa1 = {kappa1})"
+    return None
+
+
+def admissible(space: SpaceCurvature, kappa1: float, kappa2: float) -> bool:
+    """Whether (kappa1, kappa2) is a valid normal-curvature pinching for the
+    space (`_admissibility_violation` finds none).  Never raises."""
+    return _admissibility_violation(space, kappa1, kappa2) is None
 
 
 def sphere_radius_from_curvature(space: SpaceCurvature, kappa: float) -> float:
@@ -227,8 +237,9 @@ def law_of_cosines_angle(space: SpaceCurvature, a: float, b: float, d: float) ->
 
 @dataclass(frozen=True)
 class PinchSpec:
-    """Admissible curvature pinching (kappa1 <= kappa2) with circle radii r1 >= r2."""
+    """Admissible curvature pinching (kappa1 <= kappa2) in a space, with circle radii r1 >= r2."""
 
+    space: SpaceCurvature
     kappa1: float
     kappa2: float
     r1: float
@@ -236,10 +247,9 @@ class PinchSpec:
 
     @classmethod
     def from_curvatures(cls, space: SpaceCurvature, kappa1: float, kappa2: float) -> "PinchSpec":
-        if not admissible(space, kappa1, kappa2):
-            raise ValueError(
-                f"(kappa1={kappa1}, kappa2={kappa2}) is not an admissible pinching for c = {space.c}"
-            )
+        violation = _admissibility_violation(space, kappa1, kappa2)
+        if violation is not None:
+            raise ValueError(violation)
         r1 = sphere_radius_from_curvature(space, kappa1)
         r2 = sphere_radius_from_curvature(space, kappa2)
         if not (_normal_square(r1) and _normal_square(r2)):
@@ -247,7 +257,7 @@ class PinchSpec:
                 f"circle radii r1 = {r1}, r2 = {r2} of (kappa1={kappa1}, kappa2={kappa2}) "
                 f"leave the supported range {_SCALE_RANGE} (r^2 must be a normal binary64 number)"
             )
-        return cls(kappa1, kappa2, r1, r2)
+        return cls(space, kappa1, kappa2, r1, r2)
 
     @property
     def is_degenerate(self) -> bool:

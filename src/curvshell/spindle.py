@@ -31,7 +31,6 @@ from .geometry import (
     circle_circumference_factor,
     circle_point,
     circle_tangent,
-    curvature_from_sphere_radius,
     distance,
     geodesic_toward,
     law_of_cosines_side,
@@ -304,11 +303,6 @@ def profile_extreme_dists(profile: ProfileCurve, points):
     dists = np.where(delta < 1e-14, radius,
                      law_of_cosines_side(space, delta, radius, np.array(gammas)))
     return dists[:, 0].min(axis=0), dists[:, 1].max(axis=0)
-
-
-def profile_curvatures(profile: ProfileCurve):
-    """Geodesic curvature of each segment (from its radius)."""
-    return tuple(curvature_from_sphere_radius(profile.space, s.radius) for s in profile.segments)
 
 
 def join_tangent_mismatch(profile: ProfileCurve) -> float:

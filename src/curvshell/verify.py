@@ -7,17 +7,18 @@ For planar support-function bodies the center solves the concave maximin
 
 here in two steps.  The linear maximin over the 2048 support directions
 is solved exactly by a primal simplex on its 3-row dual, and certified
-by primal and dual feasibility of the final basis.  An active-set polish
-then resolves the exact contacts of the smooth problem (Newton on
-three spanning contacts, a ridge solve on an antipodal pair, or ascent
-line searches); a ball about the LP center needs none.  The
-circumscribed radius Newton-polishes the largest grid distances from the
-center, using the exact derivatives of the boundary along its normal
-angle.  Rotationally symmetric bodies restrict the center to the
-rotation axis, where the maximum lies at the foot of an arc center
-(closed form) or where two arcs' distance branches cross (Brent's
-bracketed root finder).  All 1-D searches come from `_optim`, so the
-module needs numpy alone.
+by primal and dual feasibility of the final basis.  Its rows of positive
+dual weight, an antipodal pair or a spanning triple, seed one Newton on
+the contacts' optimality conditions, certified by weak duality to 1e-12
+(max|h| + |o|) if the grid scan finds every branch of the gap; a failed
+certificate reseeds the Newton with the gap minima at the center.  A
+ball about the LP center needs no Newton.  The circumscribed radius
+Newton-polishes the largest grid distances from the center, using the
+exact derivatives of the boundary along its normal angle.  Rotationally
+symmetric bodies restrict the center to the rotation axis, where the
+maximum lies at the foot of an arc center (closed form) or where two
+arcs' distance branches cross (Brent's bracketed root finder).  All 1-D
+searches come from `_optim`, so the module needs numpy alone.
 
 Evaluations on the fixed direction grids (the 2048-direction support
 grid, and the rolling check's default 100 samples and 512 probes) read
@@ -30,7 +31,6 @@ so the verdict is the distance test's bit for bit, without a
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -40,7 +40,6 @@ import numpy as np
 
 from ._optim import (
     bracketed_root,
-    golden_section_max,
     local_extrema_mask,
     refine_critical_points,
 )
@@ -128,23 +127,19 @@ def _gap_fns(body, o):
     return f, fp, fpp
 
 
-def _support_gap_minima(body, o, with_ball=False):
+def _support_gap_minima(body, o):
     """Newton-refined local minima of the support gap at center o.
 
     Returns (global_min, thetas, values), values ascending and thetas
-    deduplicated to one representative per branch.  With with_ball=True a
-    fourth element tells whether the body is a ball about o: the gap
-    varies over the grid by at most 1e-13 (max |gap| + |o|), relative to
-    its rounding at an exact center.  A ball's gap is flat and f'' ~ 0 gives Newton
-    nothing to refine, so its unrefined grid minimum is the only branch.
+    deduplicated to one representative per branch.  On a ball about o
+    (`_is_ball`) the gap is flat and f'' ~ 0 gives Newton nothing to
+    refine, so its unrefined grid minimum is the only branch.
     """
     f, fp, fpp = _gap_fns(body, o)
     f_grid = f(THETA_GRID)
     i_min = int(np.argmin(f_grid))
-    gmin = float(f_grid[i_min])
-    if f_grid.max() - gmin <= 1e-13 * (float(np.abs(f_grid).max()) + float(np.linalg.norm(o))):
-        thetas, values = THETA_GRID[i_min:i_min + 1], f_grid[i_min:i_min + 1]
-        return (gmin, thetas, values, True) if with_ball else (gmin, thetas, values)
+    if _is_ball(f_grid, o):
+        return float(f_grid[i_min]), THETA_GRID[i_min:i_min + 1], f_grid[i_min:i_min + 1]
     min_mask, _ = local_extrema_mask(f_grid)
     t0 = THETA_GRID[min_mask]
     step = 2.0 * math.pi / GRID_N
@@ -163,16 +158,13 @@ def _support_gap_minima(body, o, with_ball=False):
         thetas, values = thetas[fresh], values[fresh]
     gmin = float(min(values.min(), f_grid.min()))
     order = np.argsort(values)
-    if with_ball:
-        return gmin, thetas[order], values[order], False
     return gmin, thetas[order], values[order]
 
 
-def _branch_min(body, o, t_seed):
-    """Refine a single local minimum of the support gap near t_seed."""
-    f, fp, fpp = _gap_fns(body, o)
-    t = refine_critical_points(fp, fpp, np.array([t_seed]), 0.05)
-    return float(np.asarray(f(t), float)[0]), float(t[0])
+def _is_ball(f_grid, o) -> bool:
+    """Whether the gap f_grid at o is flat to its rounding, 1e-13 (max |gap| + |o|): a ball."""
+    scale = float(np.abs(f_grid).max()) + float(np.linalg.norm(o))
+    return float(f_grid.max() - f_grid.min()) <= 1e-13 * scale
 
 
 _LP_TOL = 1e-13  # feasibility tolerance of the maximin LP, relative to max |h| + |o|
@@ -181,7 +173,7 @@ _LP_BLAND_AFTER = 3  # consecutive degenerate pivots before Bland's rule takes o
 
 
 def _maximin_lp(a_dirs, b_vals):
-    """max t s.t. <o, u_j> + t <= h_j; returns (o, t).
+    """max t s.t. <o, u_j> + t <= h_j; returns (o, t, basis, lam).
 
     Primal simplex on the dual  min h.lam  s.t.  sum lam_j u_j = 0,
     sum lam_j = 1, lam >= 0, whose basis is three rows: (o, t) makes them
@@ -224,7 +216,7 @@ def _maximin_lp(a_dirs, b_vals):
         if not violated.any():
             if lam.min() < -_LP_TOL:
                 raise ValueError("support maximin LP: a basis weight went negative")
-            return x[:2], float(x[2])
+            return x[:2], float(x[2]), np.array(basis), lam
         bland = stall >= _LP_BLAND_AFTER
         k = int(np.argmax(violated)) if bland else int(np.argmin(slack))
         w = rows[k] @ m_inv  # rows[k] = sum_i w_i rows[basis[i]]
@@ -244,166 +236,104 @@ def _maximin_lp(a_dirs, b_vals):
     raise ValueError(f"support maximin LP: no optimum after {n} pivots")
 
 
-def _spanning(thetas) -> bool:
-    """Whether the active normals positively span the plane."""
-    if thetas.size < 3:
-        return False
-    ang = np.sort(np.mod(thetas, 2.0 * math.pi))
-    gaps = np.diff(ang, append=ang[0] + 2.0 * math.pi)
-    return bool(gaps.max() < math.pi - 1e-9)
+_NEWTON_ITERS = 8  # contact Newton steps; the corpus converges in at most four
+_NEWTON_STEP_TOL = 1e-15  # a center step below this (max |h| + |o|) has converged
+_ACTIVE_WEIGHT = 1e-9  # LP weights above this mark the active contacts
+_CERT_TOL = 1e-12  # accepted certificate gap, relative to max |h| + |o|
+_EXCHANGE_ROUNDS = 4  # exchange rounds after the first certificate fails
 
 
-def _best_spread_triple(thetas):
-    """Pick three active normals with the largest minimal pairwise spread."""
-    thetas = thetas[:12]  # near-ball bodies can have many near-equal contacts
-    ang = np.mod(thetas, 2.0 * math.pi)
-    idx = np.argsort(ang)
-    ang = ang[idx]
-    best, best_spread = None, -1.0
-    n = ang.size
+def _contact_newton(body, o, t, thetas, lam, size):
+    """Newton on (o, t, lam) for h(theta_i) - <o, u_i> = t, sum lam_i u_i = 0, sum lam_i = 1.
 
-    for tri in itertools.combinations(range(n), 3):
-        a = ang[list(tri)]
-        gaps = np.diff(np.concatenate([a, [a[0] + 2.0 * math.pi]]))
-        if gaps.max() >= math.pi - 1e-9:
-            continue
-        spread = gaps.min()
-        if spread > best_spread:
-            best_spread, best = spread, thetas[idx][list(tri)]
-    return best
-
-
-def _newton_triple(body, o, tri, size):
-    """Newton iteration on three active contacts: intersect the tangent cuts.
-
-    Stops once a step is below 1e-14 (size + |o|), size being the scale of
-    the body's support values.
+    theta_i(o) is the exact gap minimum next to each seed, refined at every
+    step; seeds on one branch merge, and the three heaviest contacts stay.
+    With d theta_i / d o = u_perp_i / f''_i the Jacobian rows are [-u_i, -1,
+    0], [sum lam_i u_perp_i u_perp_i^T / f''_i, 0, U^T] and [0, 0, 1^T], for
+    a ridge pair and a triple alike.  Stops after a center step below
+    _NEWTON_STEP_TOL (size + |o|), contacts refined at the final center.
+    Returns (o, thetas, lam), or None for fewer than two contacts, a
+    contact without curvature, or a singular step.
     """
-    tri = np.array(tri, float)
-    for _ in range(20):
+    f, fp, fpp = _gap_fns(body, o)
+    thetas = refine_critical_points(fp, fpp, thetas, 0.05)
+    same = np.abs(np.remainder(thetas[:, None] - thetas + math.pi, 2.0 * math.pi) - math.pi) <= 1e-6
+    first = same.argmax(axis=1)  # the first seed on each one's branch
+    keep = first == np.arange(thetas.size)
+    thetas, lam = thetas[keep], np.bincount(first, lam, thetas.size)[keep]
+    heaviest = np.argsort(-lam, kind="stable")[:3]  # an added fourth contact leaves
+    thetas, lam, m = thetas[heaviest], lam[heaviest], heaviest.size
+    if m < 2:
+        return None
+    jac = np.zeros((m + 3, m + 3))
+    jac[:m, 2], jac[m + 2, 3:] = -1.0, 1.0
+    for _ in range(_NEWTON_ITERS):
+        curv = np.asarray(fpp(thetas), float)
+        if not curv.min() > 0.0:  # NaN fails too
+            return None
+        u = unit_vectors(thetas)
+        u_perp = np.column_stack([-u[:, 1], u[:, 0]])
+        jac[:m, :2], jac[m:m + 2, 3:] = -u, u.T
+        jac[m:m + 2, :2] = (u_perp.T * (lam / curv)) @ u_perp
+        res = np.concatenate([np.asarray(f(thetas), float) - t, u.T @ lam, [lam.sum() - 1.0]])
+        try:
+            delta = np.linalg.solve(jac, -res)
+        except np.linalg.LinAlgError:
+            return None
+        o, t, lam = o + delta[:2], t + delta[2], lam + delta[3:]
         f, fp, fpp = _gap_fns(body, o)
-        tri = refine_critical_points(fp, fpp, tri, 0.05)
-        u = unit_vectors(tri)
-        rows = np.column_stack([u, np.ones(3)])
-        try:
-            sol = np.linalg.solve(rows, np.asarray(body.h(tri), float))
-        except np.linalg.LinAlgError:
-            return o, None
-        o_new, t_val = sol[:2], sol[2]
-        if np.linalg.norm(o_new - o) <= 1e-14 * (size + np.linalg.norm(o)):
-            return o_new, t_val
-        o = o_new
-    return o, t_val
-
-
-def _line_search(body, o, direction, size):
-    """Bounded golden maximization of the refined gap along a ray.
-
-    The ray runs 2 (size + |o|) from o and is resolved to 1e-12 size.
-    """
-
-    def g(s):
-        return _support_gap_minima(body, o + s * direction)[0]
-
-    span = 2.0 * (size + float(np.linalg.norm(o)))
-    s_star, _ = golden_section_max(g, 0.0, span, xtol=1e-12 * size)
-    return o + s_star * direction
-
-
-def _ridge_newton(body, o, theta1, theta2, size):
-    """Solve the two-contact optimum: equal branch values, antipodal normals.
-
-    Newton on F(o) = (g1 - g2, theta1 - theta2 - pi), using
-    d theta_i / d o = u'(theta_i) / f''(theta_i); quadratic convergence to
-    machine precision where golden section would hit the sqrt(eps) floor.
-    Steps and curvatures are measured against size + |o|, size being the
-    scale of the body's support values.
-    """
-    t1, t2 = theta1, theta2
-    scale = size + float(np.linalg.norm(o))
-    for _ in range(40):
-        g1, t1 = _branch_min(body, o, t1)
-        g2, t2 = _branch_min(body, o, t2)
-        _, _, fpp = _gap_fns(body, o)
-        c1, c2 = float(fpp(t1)), float(fpp(t2))
-        if c1 <= 1e-12 * size or c2 <= 1e-12 * size:
-            return o, False
-        u1, u2 = unit_vectors(np.array([t1, t2]))
-        up1 = np.array([-u1[1], u1[0]])
-        up2 = np.array([-u2[1], u2[0]])
-        r_val = g1 - g2
-        r_ang = math.remainder(t1 - t2 - math.pi, 2.0 * math.pi)
-        jac = np.vstack([u2 - u1, up1 / c1 - up2 / c2])
-        try:
-            delta = np.linalg.solve(jac, -np.array([r_val, r_ang]))
-        except np.linalg.LinAlgError:
-            return o, False
-        norm = float(np.linalg.norm(delta))
-        if norm > 0.1 * scale:
-            delta *= 0.1 * scale / norm
-        o = o + delta
-        if norm <= 1e-15 * scale:
-            return o, True
-    return o, False
+        thetas = refine_critical_points(fp, fpp, thetas, 0.05)
+        if math.hypot(delta[0], delta[1]) <= _NEWTON_STEP_TOL * (size + float(np.linalg.norm(o))):
+            break
+    return o, thetas, lam
 
 
 def _inscribed_support(body, grid_offset=0.0):
-    """Chebyshev center of a support-function body: grid LP plus active-set polish.
+    """Chebyshev center of a support-function body: (o, r, gap).
 
-    The linear maximin over the direction grid lands in the optimum's
-    basin; the polish then resolves the exact contact structure (three
-    spanning contacts -> Newton; an antipodal pair -> ridge maximization;
-    fewer contacts -> ascent line searches).  grid_offset rotates the
-    initial grid and must not change the result (restart stability).
-    Every tolerance of the polish is relative to size = max |h| over the
-    grid, so a scaled body gives the scaled center and radius.
+    The LP's rows of weight above _ACTIVE_WEIGHT seed `_contact_newton`;
+    a ball about the LP's center skips it, and its gap (t minus the least
+    grid gap) compares grid values only.  r is the least Newton-refined
+    grid local minimum of the gap at o.  For w = lam / sum lam >= 0 weak
+    duality bounds the optimum by sum w_i h(theta_i) + |sum w_i u_i| h_max,
+    as |o*| <= h_max = max_j h_j / cos(pi/n): every boundary point has a
+    grid normal within pi/n of its direction.  The certificate, gap <=
+    _CERT_TOL (size + |o|) with size = max |h| on the grid, assumes that
+    the grid sees every branch of the gap: a dip under about
+    rho (pi/n)^2 / 2 between grid points is missed.  If it fails, or a
+    weight goes negative, an exchange round reruns the Newton from the
+    contacts plus the gap minima at o (weight 0, the heaviest three
+    kept); after _EXCHANGE_ROUNDS a ValueError names the gap.  grid_offset
+    rotates the grid and must not change the result.
     """
     thetas = THETA_GRID + grid_offset if grid_offset else THETA_GRID
-    u_grid = unit_vectors(thetas)
     h_grid = np.asarray(body.h(thetas), float)
-    o, t_upper = _maximin_lp(u_grid, h_grid)
+    o, t, basis, lam = _maximin_lp(unit_vectors(thetas), h_grid)
+    cos_t, sin_t = cos_sin(thetas)
+    f_grid = h_grid - (cos_t * o[0] + sin_t * o[1])
+    if _is_ball(f_grid, o):  # every direction touches
+        return o, float(f_grid.min()), t - float(f_grid.min())
     size = float(np.abs(h_grid).max())
-
-    best_o, best_val = o, _support_gap_minima(body, o)[0]
-    for _ in range(16):
-        gmin, t_min, v_min, ball = _support_gap_minima(body, o, with_ball=True)
-        if gmin > best_val:
-            best_o, best_val = o, gmin
-        if ball:  # every direction touches
-            return o, gmin
-        window = max(10.0 * max(t_upper - gmin, 0.0), 1e-11 * size) + 1e-13 * size
-        act = t_min[v_min <= v_min[0] + window]
-        if _spanning(act):
-            tri = _best_spread_triple(act)
-            if tri is not None:
-                o_new, t_val = _newton_triple(body, o, tri, size)
-                if t_val is not None:
-                    g_new, _, _ = _support_gap_minima(body, o_new)
-                    if g_new >= t_val - 1e-12 * size:
-                        return (o_new, g_new) if g_new >= best_val else (best_o, best_val)
-                    # a branch outside the triple dips lower: iterate with it
-                    o, t_upper = o_new, t_val
-                    continue
-        if act.size >= 2:
-            d_ang = abs((act[0] - act[1]) % (2.0 * math.pi) - math.pi)
-            if d_ang < 0.1:
-                o_new, ok = _ridge_newton(body, o, act[0], act[1], size)
-                g_new, _, _ = _support_gap_minima(body, o_new)
-                if ok and g_new >= best_val - 1e-13 * size:
-                    return o_new, g_new
-                if g_new > best_val:
-                    best_o, best_val = o_new, g_new
-                o = o_new
-                continue
-        # ascend against the mean active normal until more contacts appear
-        u_act = unit_vectors(act[: min(act.size, 2)])
-        direction = -u_act.sum(axis=0)
-        nrm = np.linalg.norm(direction)
-        if nrm < 1e-12:
-            return best_o, best_val
-        o = _line_search(body, o, direction / nrm, size)
-    gmin, _, _ = _support_gap_minima(body, o)
-    return (o, gmin) if gmin >= best_val else (best_o, best_val)
+    h_max = float(h_grid.max()) / math.cos(math.pi / thetas.size)
+    act = lam > _ACTIVE_WEIGHT
+    contacts, weights, cuts, gap = thetas[basis[act]], lam[act], np.empty(0), math.inf
+    for _ in range(_EXCHANGE_ROUNDS + 1):
+        # an exact antipodal pair holds its ridge value anywhere along the
+        # ridge, so a third contact below it enters only as a seed
+        solved = _contact_newton(body, o, t, np.concatenate([contacts, cuts]),
+                                 np.concatenate([weights, np.zeros(cuts.size)]), size)
+        upper = math.inf
+        if solved is not None and solved[2].min() >= 0.0:
+            o, contacts, weights = solved
+            w = weights / weights.sum()
+            drift = float(np.linalg.norm(w @ unit_vectors(contacts)))
+            upper = float(w @ body.h(contacts)) + drift * h_max
+        lower, cuts, _ = _support_gap_minima(body, o)
+        gap = upper - lower
+        if gap <= _CERT_TOL * (size + float(np.linalg.norm(o))):
+            return o, lower, gap
+    raise ValueError(f"inscribed ball: certificate gap {gap:.3g} above "
+                     f"{_CERT_TOL:g} (max|h| + |o|) after {_EXCHANGE_ROUNDS} exchange rounds")
 
 
 # ---------------------------------------------------------------------------
@@ -496,14 +426,15 @@ def _inscribed_revolution(body: RevolutionBody):
 def inscribed_ball(body):
     """Center and radius of the largest ball inside the body.
 
-    Flat support bodies solve the concave maximin over the plane (objective
-    certified to 1e-10); revolution bodies maximize along the rotation axis
-    over closed-form candidates: the feet of the arc centers and the
-    crossings of two arcs' distance branches.
+    Flat support bodies solve the concave maximin over the plane, the
+    radius certified by weak duality as `_inscribed_support` states;
+    revolution bodies maximize along the rotation axis over closed-form
+    candidates: the feet of the arc centers and the crossings of two
+    arcs' distance branches.
     """
     if isinstance(body, RevolutionBody):
         return _inscribed_revolution(body)
-    return _inscribed_support(body)
+    return _inscribed_support(body)[:2]
 
 
 def circumscribed_from_center(body, center):
@@ -566,8 +497,11 @@ def _pinch_precondition(body, pinch: PinchSpec):
 
 def check_bounds(body, pinch: PinchSpec) -> ShellResult:
     """Compute the body's shell at the inscribed center and compare to the bounds."""
+    space = pinch.space
+    if body.space != space:
+        raise ValueError(f"the body lies in {body.space.kind} space (c = {body.space.c}), "
+                         f"the pinching in {space.kind} space (c = {space.c})")
     _pinch_precondition(body, pinch)
-    space = body.space if isinstance(body, RevolutionBody) else SpaceCurvature.flat()
     center, r = inscribed_ball(body)
     big_r = circumscribed_from_center(body, center)
 
@@ -602,7 +536,8 @@ def rolling_check(body, pinch: PinchSpec, samples: int = 100, probes: int = 512,
     """Sampled rolling test: the tangent ball of radius r2 fits inside, the
     body fits inside the tangent ball of radius r1, at each sampled
     boundary point.  Containment is probed on a grid of boundary points
-    (probes per ball)."""
+    (probes per ball), to tol * r1, so a scaled body keeps its verdict."""
+    tol = tol * pinch.r1
     if isinstance(body, RevolutionBody):
         return _rolling_revolution(body, pinch, samples, tol)
     th = angle_grid(samples)

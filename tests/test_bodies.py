@@ -20,7 +20,7 @@ from curvshell.bodies import (
     unit_vectors,
 )
 from curvshell.bounds import width_bound
-from curvshell.geometry import PinchSpec
+from curvshell.geometry import PinchSpec, SpaceCurvature
 from curvshell.spindle import SpindleSpec
 
 from conftest import FLAT, HYPER, SPHERE, random_pinch, rng_for
@@ -131,6 +131,16 @@ class TestGenerator:
         assert_allclose(a.rho_sin, b.rho_sin, rtol=0, atol=0)
         c = random_pinched_curve(PINCH_12, seed=43, modes=6)
         assert not np.allclose(a.rho_cos, c.rho_cos)
+
+    @pytest.mark.parametrize("space,k1,k2", [(SpaceCurvature.spherical(1e-5), 1.0, 2.0),
+                                             (HYPER, 1e5, 2e5)])
+    def test_refuses_curved_pinchings(self, space, k1, k2):
+        # near-flat radii (r * kappa within 1e-9 of 1) are still curved
+        p = PinchSpec.from_curvatures(space, k1, k2)
+        with pytest.raises(ValueError, match="flat"):
+            random_pinched_curve(p, seed=0)
+        with pytest.raises(ValueError, match="flat"):
+            spindle_support_curve(p, 0.5 * (p.r1 + p.r2))
 
     def test_pinched_within_band(self):
         for seed in range(40):

@@ -154,7 +154,7 @@ class TestWidthBound:
             assert np.all(np.diff(vals) > 0)
 
     def test_inadmissible_raises(self):
-        bogus = PinchSpec(0.0, 1.0, float("inf"), 1.0)
+        bogus = PinchSpec(FLAT, 0.0, 1.0, float("inf"), 1.0)
         with pytest.raises(ValueError):
             width_bound(FLAT, bogus)
 
@@ -214,6 +214,15 @@ class TestProfiles:
             quotient_bound(p)
         with pytest.raises(ValueError, match="flat"):
             quotient_bound_coarse(p)
+
+    @pytest.mark.parametrize("space,k1,k2", [(SpaceCurvature.spherical(1e-5), 1.0, 2.0),
+                                             (HYPER, 1e5, 2e5)])
+    def test_quotient_needs_flat_near_flat_radii(self, space, k1, k2):
+        # r * kappa is within 1e-9 of 1 here, which once passed for flat
+        p = PinchSpec.from_curvatures(space, k1, k2)
+        assert p.space == space
+        with pytest.raises(ValueError, match="flat"):
+            quotient_bound(p)
 
 
 class TestQuotient:

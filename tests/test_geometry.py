@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,18 @@ class TestAdmissible:
     def test_total_on_nan(self):
         assert not admissible(FLAT, float("nan"), 1.0)
         assert not admissible(FLAT, 1.0, float("nan"))
+
+    @pytest.mark.parametrize("space,k1,k2,needle", [
+        (FLAT, 1.0, math.inf, "finite"),
+        (FLAT, 2.0, 1.0, "kappa2 = 1.0 must be >= kappa1 = 2.0"),
+        (FLAT, 0.0, 1.0, "flat geometry requires kappa1 > 0"),
+        (SPHERE, -0.1, 1.0, "spherical geometry requires kappa1 >= 0"),
+        (HYPER, 1.0, 2.0, "sqrt(-c)"),
+    ])
+    def test_pinch_names_the_broken_condition(self, space, k1, k2, needle):
+        assert not admissible(space, k1, k2)
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            PinchSpec.from_curvatures(space, k1, k2)
 
 
 class TestRadiusCurvature:

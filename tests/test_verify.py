@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import curvshell.verify as verify
+from curvshell import cli
 from curvshell.bodies import (
     THETA_GRID,
     RevolutionBody,
@@ -16,6 +17,7 @@ from curvshell.bodies import (
 from curvshell.bounds import outer_radius_bound, quotient_bound, quotient_maximizer, width_bound
 from curvshell.geometry import (
     PinchSpec,
+    SpaceCurvature,
     axis_foot,
     axis_point_frame,
     curvature_from_sphere_radius,
@@ -32,7 +34,7 @@ from curvshell.verify import (
     verify_batch,
     write_jsonl,
 )
-from curvshell.verify import _inscribed_support, _maximin_lp
+from curvshell.verify import _inscribed_support, _maximin_lp, _support_gap_minima
 
 from conftest import FLAT, HYPER, SPACES, SPHERE, cut_lens_profile, random_pinch, rng_for
 
@@ -55,7 +57,7 @@ def _highs_maximin(u, h):
 
 class TestMaximinLP:
     def assert_optimal(self, u, h):
-        o, t = _maximin_lp(u, h)
+        o, t, _, _ = _maximin_lp(u, h)
         assert abs(t - _highs_maximin(u, h)) <= 1e-9
         assert (h - u @ o - t).min() >= -1e-12
 
@@ -77,7 +79,7 @@ class TestMaximinLP:
         for t in ([0.0, 0.0], [0.4, -0.15]):
             h = TrigSupportCurve(0.75).translate(t).h(THETA_GRID)
             self.assert_optimal(_U_GRID, h)
-            o, r = _maximin_lp(_U_GRID, h)
+            o, r, _, _ = _maximin_lp(_U_GRID, h)
             assert np.linalg.norm(o - t) <= 1e-12
             assert_allclose(r, 0.75, atol=1e-12)
 
@@ -89,9 +91,9 @@ class TestMaximinLP:
     def test_scale_invariant(self):
         # the stopping tolerance follows the size of the data, not 1
         h = random_pinched_curve(PINCH_12, seed=5).h(THETA_GRID)
-        o, t = _maximin_lp(_U_GRID, h)
+        o, t, _, _ = _maximin_lp(_U_GRID, h)
         for lam in (1e-12, 1e12):
-            o_s, t_s = _maximin_lp(_U_GRID, lam * h)
+            o_s, t_s, _, _ = _maximin_lp(_U_GRID, lam * h)
             assert abs(t_s / lam - t) <= 1e-12
             assert np.linalg.norm(o_s / lam - o) <= 1e-9
 
@@ -201,9 +203,95 @@ class TestInscribedBall:
             base_center, base_r = inscribed_ball(body)
             for _ in range(10):
                 off = rng.uniform(0, 2 * math.pi / 2048)
-                center, r = _inscribed_support(body, grid_offset=off)
+                center, r, _ = _inscribed_support(body, grid_offset=off)
                 assert abs(r - base_r) <= 1e-9
                 assert np.linalg.norm(center - base_center) <= 1e-9
+
+    @staticmethod
+    def assert_certified(body):
+        o, r, gap = _inscribed_support(body)
+        size = float(np.abs(body.h(THETA_GRID)).max())
+        tol = 1e-12 * (size + float(np.linalg.norm(o)))
+        assert -tol <= gap <= tol
+        return o, r, gap
+
+    @pytest.mark.parametrize("k2", [1.1, 2.0, 5.0])
+    def test_certified_corpus(self, k2):
+        # the bench pinches: ridge and triple bodies alike carry a gap of rounding size
+        pinch = PinchSpec.from_curvatures(FLAT, 1.0, k2)
+        for seed in range(0, 1000, 25):
+            self.assert_certified(random_pinched_curve(pinch, seed=seed))
+
+    def test_certified_flat_spindles(self):
+        for k1, k2 in [(1.0, 2.0), (0.5, 4.0)]:
+            pinch = PinchSpec.from_curvatures(FLAT, k1, k2)
+            for r_t in np.linspace(pinch.r2, pinch.r1, 33):
+                _, r, _ = self.assert_certified(spindle_support_curve(pinch, float(r_t)))
+                assert abs(r - r_t) <= 1e-15 * pinch.r1
+
+    @pytest.mark.parametrize("modes", [2, 8, 16])
+    def test_certified_wide_pinch(self, modes):
+        pinch = PinchSpec.from_curvatures(FLAT, 1.0, 1000.0)
+        for seed in range(8):
+            self.assert_certified(random_pinched_curve(pinch, seed=seed, modes=modes))
+
+    @staticmethod
+    def count_newton(monkeypatch):
+        newton, calls = verify._contact_newton, []
+        monkeypatch.setattr(verify, "_contact_newton",
+                            lambda *a: calls.append(1) or newton(*a))
+        return calls
+
+    def test_ridge_with_a_third_contact(self, monkeypatch):
+        # the LP's active set is an antipodal pair, but at the pair's ridge
+        # point a third contact dips 6e-6 below.  The pair alone holds its
+        # ridge value anywhere along the ridge, so one exchange round seeds
+        # the third contact; the optimum is a triple whose third weight is
+        # about 1e-4
+        body = random_pinched_curve(PinchSpec.from_curvatures(FLAT, 1.0, 5.0),
+                                    seed=3587535972445630950)
+        calls = self.count_newton(monkeypatch)
+        o, r, _ = self.assert_certified(body)
+        assert len(calls) == 2
+        assert abs(r - 0.5432508906704727) <= 1e-15 * r
+        assert np.ptp(_support_gap_minima(body, o)[2][:3]) <= 1e-15 * r
+
+    def test_forced_exchange_round(self, monkeypatch):
+        # a wrong first active set: the ridge pair without one contact, the
+        # ridge's zero-weight row in place of a contact, the triple without
+        # one.  The certificate fails, exchange rounds (one for the ridge,
+        # two for the triple) find the contacts again, and the center and
+        # radius do not move
+        lp = verify._maximin_lp
+        ridge = random_pinched_curve(PINCH_12, seed=0)
+        tri = TrigSupportCurve(1.0, [0.0, 0.5], [0.0, 0.0]).translate([0.3, -0.1]).rotate(0.4)
+        for body, wrong in ((ridge, "drop"), (ridge, "swap"), (tri, "drop")):
+            o0, r0, _ = _inscribed_support(body)
+
+            def wrong_weights(u, h):
+                o, t, rows, lam = lp(u, h)
+                lam = lam.copy()
+                hi, lo = int(np.argmax(lam)), int(np.argmin(lam))
+                lam[hi], lam[lo] = (0.0, lam[lo]) if wrong == "drop" else (lam[lo], lam[hi])
+                return o, t, rows, lam
+
+            monkeypatch.setattr(verify, "_maximin_lp", wrong_weights)
+            calls = self.count_newton(monkeypatch)
+            o, r, _ = self.assert_certified(body)
+            monkeypatch.undo()
+            assert len(calls) >= 2
+            assert abs(r - r0) <= 1e-15 * r0
+            assert np.linalg.norm(o - o0) <= 1e-15 * r0
+
+    def test_uncertifiable_raises(self, monkeypatch, capsys):
+        # no gap can pass a negative tolerance: the exchange rounds run out,
+        # and the CLI reports the gap with exit code 1
+        monkeypatch.setattr(verify, "_CERT_TOL", -1.0)
+        with pytest.raises(ValueError, match="certificate gap .* exchange rounds"):
+            inscribed_ball(random_pinched_curve(PINCH_12, seed=0))
+        argv = ["verify", "--flat", "--k1", "1", "--k2", "2", "--seeds", "0..0", "--jobs", "1"]
+        assert cli.main(argv) == 1
+        assert "certificate gap" in capsys.readouterr().err
 
     def test_revolution_spindle(self):
         for space in (SPHERE, HYPER):
@@ -379,6 +467,18 @@ class TestCheckBounds:
         with pytest.raises(ValueError, match="curvature"):
             check_bounds(body, tighter)
 
+    def test_geometry_mismatch_raises(self):
+        # a flat body is never checked against curved bounds, however close
+        # the pinching's radii are to flat ones
+        body = random_pinched_curve(PINCH_12, seed=0)
+        near_flat = PinchSpec.from_curvatures(SpaceCurvature.spherical(1e-5), 1.0, 2.0)
+        with pytest.raises(ValueError, match="flat space .* spherical space"):
+            check_bounds(body, near_flat)
+        sphere_12 = PinchSpec.from_curvatures(SPHERE, 1.0, 2.0)
+        spindle = RevolutionBody.spindle(SpindleSpec(SPHERE, sphere_12, 0.6))
+        with pytest.raises(ValueError, match="spherical space .* flat space"):
+            check_bounds(spindle, PINCH_12)
+
     @pytest.mark.parametrize("space", SPACES[1:])
     def test_revolution_lemma_inequality(self, space):
         rng = rng_for(54)
@@ -443,6 +543,17 @@ class TestRolling:
             assert verdict is _rolling_3d_norm(body, outer)
             outer_flips += not verdict
         assert outer_flips >= 50
+
+    def test_scale_keeps_verdicts(self):
+        # the tolerance follows r1: a scaled body and pinching keep the unit
+        # verdicts, at scales where an absolute 1e-9 passes the tighter pinch
+        # (1e-9) or fails the body's own (1e9)
+        for lam in (1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9):
+            pinch = PinchSpec.from_curvatures(FLAT, 1.0 / lam, 2.0 / lam)
+            tighter = PinchSpec.from_curvatures(FLAT, 1.5 / lam, 2.0 / lam)
+            body = random_pinched_curve(pinch, seed=0)
+            assert rolling_check(body, pinch), lam
+            assert not rolling_check(body, tighter), lam
 
     def test_circle(self):
         assert rolling_check(TrigSupportCurve(0.75), PINCH_12, samples=50)
