@@ -12,30 +12,35 @@ _ROOT_MAXITER = 500  # a safety cap: a simple root takes about ten steps
 
 
 def local_extrema_mask(values: np.ndarray):
-    """Masks of cyclic local minima / maxima of a sampled periodic function."""
-    prev = np.roll(values, 1)
-    nxt = np.roll(values, -1)
+    """Masks of cyclic local minima / maxima of sampled periodic functions (on the last axis)."""
+    prev = np.roll(values, 1, axis=-1)
+    nxt = np.roll(values, -1, axis=-1)
     return (values <= prev) & (values <= nxt), (values >= prev) & (values >= nxt)
 
 
-def refine_critical_points(d1, d2, t0: np.ndarray, halfwidth: float, iters: int = 60,
+def refine_critical_points(derivs, t0: np.ndarray, halfwidth: float, iters: int = 60,
                            tol: float = 1e-15) -> np.ndarray:
-    """Newton-polish critical points of a smooth periodic function.
+    """Newton-polish critical points of smooth periodic functions.
 
-    Starts from the grid candidates t0 and never leaves +-halfwidth around
-    them, so each refined point stays in its own basin.  Stops once every
-    step is below tol, or after iters steps.
+    derivs(t, sel) returns (f', f'') at the points sel (an index array
+    into t0), placed at t.  Each point starts from its grid candidate in
+    t0 and never leaves +-halfwidth around it, so it stays in its own
+    basin.  A point freezes once its own step is below tol, so its result
+    does not depend on the other points solved with it; all stop after
+    iters steps.
     """
-    t = np.asarray(t0, float).copy()
+    t = np.array(t0, float)
     lo, hi = t - halfwidth, t + halfwidth
+    live = np.arange(t.size)
     for _ in range(iters):
-        g = np.asarray(d1(t), float)
-        h = np.asarray(d2(t), float)
-        step = np.divide(g, h, out=np.zeros_like(g), where=np.abs(h) > 1e-300)
-        step = np.clip(step, -halfwidth, halfwidth)
-        t = np.clip(t - step, lo, hi)
-        if np.max(np.abs(step)) < tol:
+        if not live.size:
             break
+        t_live = t[live]
+        g, h = derivs(t_live, live)
+        step = np.divide(g, h, out=np.zeros_like(g), where=np.abs(h) > 1e-300)
+        step = np.minimum(np.maximum(step, -halfwidth), halfwidth)
+        t[live] = np.minimum(np.maximum(t_live - step, lo[live]), hi[live])
+        live = live[np.abs(step) >= tol]
     return t
 
 

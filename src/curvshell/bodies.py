@@ -9,6 +9,13 @@ random generator's output) and the exact piecewise-trigonometric
 support function of a flat rounded spindle.  Rotationally symmetric
 bodies in the curved geometries are carried by their meridian profile.
 
+The flat solvers work on stacks.  A `TrigStack` holds K trigonometric
+bodies as coefficient arrays, with per-body grid values and per-point
+jets; `random_pinched_stack` generates one from K seeds, and each flat
+body (`TrigSupportCurve.stack`, or `ArcSupportCurve` itself) is a stack
+of one.  Every product is per body or per point, so a body's values do
+not depend on the stack it is in.
+
 The fixed direction grids (THETA_GRID, and `angle_grid`'s arrays for the
 rolling check's default sample and probe counts) are shared read-only
 arrays.  Evaluating a body on one of them reads cos(n t) and sin(n t)
@@ -65,9 +72,16 @@ def _shared(thetas) -> bool:
 
 @functools.lru_cache(maxsize=16)  # a few mode counts on each shared grid
 def _mode_table(n, count):
-    """(cos(m t), sin(m t)) over the shared grid of size n, modes m = 2 .. count + 1."""
-    arg = np.multiply.outer(_SHARED_GRIDS[n], np.arange(2, 2 + count))
-    return _read_only(np.cos(arg), np.sin(arg))
+    """[cos(m t) | sin(m t)] over the shared grid of size n, modes m = 0 .. count + 1.
+
+    One (n, 2 count + 4) array: the trigonometric vector of `TrigStack` at
+    every grid angle; `TrigSupportCurve` reads its modes 2 .. count + 1.
+    """
+    arg = _SHARED_GRIDS[n][:, None] * np.arange(count + 2.0)
+    table = np.empty((n, 2 * count + 4))
+    np.cos(arg, out=table[:, :count + 2])
+    np.sin(arg, out=table[:, count + 2:])
+    return _read_only(table)[0]
 
 
 def angle_grid(n):
@@ -127,7 +141,9 @@ class TrigSupportCurve:
     def _trig(self, thetas):
         thetas = np.asarray(thetas, float)
         if _shared(thetas):
-            return _mode_table(thetas.size, self.ns.size)
+            m = self.ns.size
+            table = _mode_table(thetas.size, m)
+            return table[:, 2:m + 2], table[:, m + 4:]
         arg = np.multiply.outer(thetas, self.ns)
         return np.cos(arg), np.sin(arg)
 
@@ -168,6 +184,12 @@ class TrigSupportCurve:
         u, up = _unit_frames(thetas)
         return self.h(thetas)[..., None] * u + self.h_prime(thetas)[..., None] * up
 
+    @property
+    def stack(self) -> "TrigStack":
+        """This body as a stack of one."""
+        return TrigStack(np.array([self.h0]), self.rho_cos[None], self.rho_sin[None],
+                         self.translation[None])
+
     def translate(self, t):
         return TrigSupportCurve(self.h0, self.rho_cos, self.rho_sin, self.translation + np.asarray(t, float))
 
@@ -184,6 +206,111 @@ class TrigSupportCurve:
             raise ValueError("scale factor must be positive")
         return TrigSupportCurve(lam * self.h0, lam * self.rho_cos, lam * self.rho_sin,
                                 lam * self.translation)
+
+
+class TrigStack:
+    """K trigonometric bodies held as coefficient arrays and evaluated together.
+
+    Over the trigonometric vector v(t) = [cos(m t) | sin(m t)], m = 0 ..
+    M + 1, every body's h, h', rho, rho' and rho'' are linear: mode 0
+    carries h0, mode 1 the translation (h only) and modes 2 .. M + 1 the
+    series.  So body k is one (2 M + 4, 5) coefficient matrix, and
+    `grid` takes one matrix-vector product per body and column with the
+    shared `_mode_table`.  `jet` evaluates any (body, angle) pairs: per
+    evaluation it takes cos and sin of the pairs' mode arguments once and
+    multiplies them into a per-pair coefficient block gathered once per
+    call of `jet`, so a Newton solve never rebuilds the trigonometric
+    terms for f, f' and f''.  Every product is per body or per pair, so a
+    body's values do not depend on the stack it is in.
+    """
+
+    space = SpaceCurvature.flat()
+
+    def __init__(self, h0, rho_cos, rho_sin, translation):
+        self.h0 = np.asarray(h0, float)
+        self.rho_cos = np.asarray(rho_cos, float)
+        self.rho_sin = np.asarray(rho_sin, float)
+        self.translation = np.asarray(translation, float)
+        k, m = self.rho_cos.shape
+        self.modes, self._ns = m, np.arange(m + 2.0)
+        ns, j = self._ns, m + 2  # the sine half starts at j
+        coef = np.zeros((k, 2 * j, 5))
+        coef[:, 0, 0] = coef[:, 0, 2] = self.h0
+        coef[:, 1, 0], coef[:, j + 1, 0] = self.translation.T
+        denom = 1.0 - ns[2:] ** 2
+        coef[:, 2:j, 0], coef[:, j + 2:, 0] = self.rho_cos / denom, self.rho_sin / denom
+        coef[:, 2:j, 2], coef[:, j + 2:, 2] = self.rho_cos, self.rho_sin
+        # the t-derivative of c cos(nt) + s sin(nt) is n s cos(nt) - n c sin(nt)
+        for src, dst in ((0, 1), (2, 3), (3, 4)):
+            coef[:, :j, dst] = ns * coef[:, j:, src]
+            coef[:, j:, dst] = -ns * coef[:, :j, src]
+        self._coef = coef
+
+    def __len__(self):
+        return self.h0.size
+
+    def body(self, k: int) -> TrigSupportCurve:
+        return TrigSupportCurve(self.h0[k], self.rho_cos[k], self.rho_sin[k], self.translation[k])
+
+    @functools.cached_property
+    def grid(self) -> np.ndarray:
+        """(h, h', rho) on THETA_GRID: shape (3, K, GRID_N)."""
+        table = _mode_table(GRID_N, self.modes)
+        out = np.empty((3, len(self), GRID_N))
+        for k, coef in enumerate(self._coef):
+            for c in range(3):
+                np.matmul(table, coef[:, c], out=out[c, k])
+        return out
+
+    def jet(self, body, centers=None):
+        """Evaluator of (h, h', rho, rho', rho'') at the bodies `body` (index array).
+
+        Returns at(t, sel=None): the five rows (5, P) at angles t of the
+        pairs sel (all by default).  With centers (one row per pair), h and
+        h' become the support gap h - <o, u> and its derivative.
+        """
+        block = self._coef[body]
+        if centers is not None:
+            m = self.modes + 3  # mode 1 of the sine half
+            block[:, 1, 0] -= centers[:, 0]
+            block[:, m, 0] -= centers[:, 1]
+            block[:, 1, 1] -= centers[:, 1]
+            block[:, m, 1] += centers[:, 0]
+        ns = self._ns
+
+        def at(t, sel=None):
+            arg = t[:, None] * ns
+            trig = np.concatenate([np.cos(arg), np.sin(arg)], axis=-1)
+            return np.matmul(trig[:, None, :], block if sel is None else block[sel])[:, 0].T
+
+        return at
+
+    def rho_extrema(self):
+        """Per body (min, max, argmin, argmax) of rho: grid scan plus Newton on rho'.
+
+        All grid-local extrema are polished, not only the grid-global ones,
+        so near-degenerate competing extrema cannot slip past the scan; a
+        grid value wins a tie with a polished one.
+        """
+        vals = self.grid[2]
+        min_mask, max_mask = local_extrema_mask(vals)
+        body, j = np.nonzero(min_mask | max_mask)
+        at = self.jet(body)
+        cand_t = refine_critical_points(lambda t, sel: at(t, sel)[3:], THETA_GRID[j],
+                                        2.0 * math.pi / GRID_N)
+        cand_v = at(cand_t)[2]
+        rows = np.arange(len(self))
+        out = []
+        for sign in (1.0, -1.0):  # the minimum, then the maximum
+            best = sign * vals
+            best_t = np.broadcast_to(THETA_GRID, vals.shape).copy()
+            polished = sign * cand_v < best[body, j]
+            best[body[polished], j[polished]] = sign * cand_v[polished]
+            best_t[body[polished], j[polished]] = cand_t[polished]
+            i = np.argmin(best, axis=1)
+            out += [sign * best[rows, i], best_t[rows, i]]
+        lo, lo_t, hi, hi_t = out
+        return lo, hi, lo_t, hi_t
 
 
 class ArcSupportCurve:
@@ -251,6 +378,32 @@ class ArcSupportCurve:
         hp = np.asarray(self.h_prime(thetas))
         return h[..., None] * u + hp[..., None] * up
 
+    # the evaluators of `TrigStack`, as a stack of one
+    def __len__(self):
+        return 1
+
+    @property
+    def stack(self) -> "ArcSupportCurve":
+        return self
+
+    @functools.cached_property
+    def grid(self) -> np.ndarray:
+        return np.stack([self.h(THETA_GRID), self.h_prime(THETA_GRID),
+                         self.rho(THETA_GRID)])[:, None, :]
+
+    def jet(self, body, centers=None):
+        def at(t, sel=None):
+            h, hp, rho = self.h(t), self.h_prime(t), self.rho(t)
+            if centers is not None:
+                o = centers if sel is None else centers[sel]
+                cos_t, sin_t = np.cos(t), np.sin(t)
+                h = h - (cos_t * o[:, 0] + sin_t * o[:, 1])
+                hp = hp + (sin_t * o[:, 0] - cos_t * o[:, 1])
+            zero = np.zeros_like(rho)
+            return np.stack([h, hp, rho, zero, zero])
+
+        return at
+
 
 def spindle_support_curve(pinch: PinchSpec, r_tilde: float) -> ArcSupportCurve:
     """Flat rounded spindle as a support-function body."""
@@ -274,29 +427,12 @@ class RevolutionBody:
         return cls(build_spindle(spec))
 
 
-def _trig_rho_extrema(body: TrigSupportCurve):
-    """Exact (min, argmin, max, argmax) of rho: grid scan plus Newton on rho'.
-
-    All grid-local extrema are polished, not only the grid-global ones, so
-    near-degenerate competing extrema cannot slip past the scan.
-    """
-    vals = body.rho(THETA_GRID)
-    min_mask, max_mask = local_extrema_mask(vals)
-    step = 2.0 * math.pi / GRID_N
-    cand_t = refine_critical_points(body.rho_prime, body.rho_second,
-                                    THETA_GRID[min_mask | max_mask], step)
-    cand_v = body.rho(cand_t)
-    all_v = np.concatenate([vals, cand_v])
-    all_t = np.concatenate([THETA_GRID, cand_t])
-    lo_i, hi_i = int(np.argmin(all_v)), int(np.argmax(all_v))
-    return float(all_v[lo_i]), float(all_t[lo_i]), float(all_v[hi_i]), float(all_t[hi_i])
-
-
 def rho_range(body) -> tuple:
-    """(min, max) of the curvature radius, with the angles attaining them."""
+    """(min, max, argmin, argmax) of the curvature radius; arrays for a TrigStack."""
+    if isinstance(body, TrigStack):  # per-body arrays
+        return body.rho_extrema()
     if isinstance(body, TrigSupportCurve):
-        lo, lo_t, hi, hi_t = _trig_rho_extrema(body)
-        return lo, hi, lo_t, hi_t
+        return tuple(float(v[0]) for v in body.stack.rho_extrema())
     if isinstance(body, ArcSupportCurve):
         return body.pinch.r2, body.pinch.r1, 0.0, math.pi / 2.0
     if isinstance(body, RevolutionBody):
@@ -306,7 +442,7 @@ def rho_range(body) -> tuple:
 
 
 def curvature_range(body) -> tuple:
-    """(kmin, kmax): extremes of the normal curvature over the boundary."""
+    """(kmin, kmax): extremes of the normal curvature over the boundary; arrays for a TrigStack."""
     lo, hi, _, _ = rho_range(body)
     if isinstance(body, RevolutionBody):
         return (curvature_from_sphere_radius(body.space, hi),
@@ -321,33 +457,45 @@ def closure_residual(body) -> float:
     return float(np.abs(mom).max())
 
 
-def random_pinched_curve(pinch: PinchSpec, seed: int, modes: int = 8) -> TrigSupportCurve:
-    """Random convex curve with curvature radius strictly inside [r2, r1].
+def random_pinched_stack(pinch: PinchSpec, seeds, modes: int = 8) -> TrigStack:
+    """Random convex curves, one per 64-bit seed, with curvature radius strictly inside [r2, r1].
 
-    Deterministic in the 64-bit seed (counter-based generator).  Harmonic
-    coefficients for modes 2..modes are drawn with a 1/n^2 amplitude decay,
-    then rescaled so the refined extrema of rho sit PINCH_MARGIN * r1 inside
-    the pinching band, so a scaled pinching gives the scaled body; the worst
-    case (all-zero draw) degenerates to the circle of radius (r1 + r2) / 2.
+    Deterministic in each seed (counter-based generator, one draw per
+    seed).  Harmonic coefficients for modes 2..modes are drawn with a 1/n^2
+    amplitude decay, then rescaled so the refined extrema of rho sit
+    PINCH_MARGIN * r1 inside the pinching band, so a scaled pinching gives
+    the scaled body; the worst case (all-zero draw) degenerates to the
+    circle of radius (r1 + r2) / 2.  A body does not depend on the other
+    seeds of the stack.
     """
     if not pinch.space.is_flat:
         raise ValueError("the random curve generator produces flat-geometry bodies")
     if modes < 2:
         raise ValueError("need at least the n = 2 harmonic")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    ns = np.arange(2, modes + 1)
-    decay = 1.0 / ns.astype(float) ** 2
-    a = rng.normal(size=ns.size) * decay
-    b = rng.normal(size=ns.size) * decay
+    ns = np.arange(2.0, modes + 1)
+    decay = 1.0 / ns ** 2
+    draws = np.empty((2, len(seeds), ns.size))
+    for i, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        draws[0, i] = rng.normal(size=ns.size) * decay
+        draws[1, i] = rng.normal(size=ns.size) * decay
+    a, b = draws
 
-    mid = 0.5 * (pinch.r1 + pinch.r2)
-    body = TrigSupportCurve(mid, a, b)
-    lo, _, hi, _ = _trig_rho_extrema(body)
-    dev_up, dev_dn = hi - mid, mid - lo
+    mid = np.full(len(seeds), 0.5 * (pinch.r1 + pinch.r2))
+    origin = np.zeros((len(seeds), 2))
+    lo, hi, _, _ = TrigStack(mid, a, b, origin).rho_extrema()
     half_band = 0.5 * (pinch.r1 - pinch.r2)
     target = max(half_band - PINCH_MARGIN * pinch.r1, 0.0)
-    scale = min(target / dev_up if dev_up > 0 else math.inf,
-                target / dev_dn if dev_dn > 0 else math.inf)
-    if not math.isfinite(scale):
-        scale = 0.0
-    return TrigSupportCurve(mid, a * scale, b * scale)
+    up = np.divide(target, hi - mid, out=np.full(len(seeds), math.inf), where=hi > mid)
+    down = np.divide(target, mid - lo, out=np.full(len(seeds), math.inf), where=mid > lo)
+    scale = np.minimum(up, down)
+    scale[~np.isfinite(scale)] = 0.0
+    return TrigStack(mid, a * scale[:, None], b * scale[:, None], origin)
+
+
+def random_pinched_curve(pinch: PinchSpec, seed: int, modes: int = 8) -> TrigSupportCurve:
+    """Random convex curve with curvature radius strictly inside [r2, r1].
+
+    The body of `random_pinched_stack` for one seed.
+    """
+    return random_pinched_stack(pinch, [seed], modes).body(0)

@@ -8,6 +8,7 @@ run found a bound violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -246,7 +247,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: a parser built anew for
+    every call of `main` leaves the heap more fragmented after each call,
+    and the resident memory of a process that calls `main` in a loop grows."""
     parser = _Parser(
         prog="curvshell",
         description="Shell bounds for curvature-pinched convex bodies in "
@@ -279,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="verify the extremal family instead of random bodies")
     p_ver.add_argument("--grid", type=int, default=33, help="family grid size")
     p_ver.add_argument("--jobs", type=int, default=None,
-                       help=f"parallel workers (default ${_JOBS_ENV} or 1)")
+                       help=f"processes, the calling one included (default ${_JOBS_ENV} or 1)")
     p_ver.add_argument("--report", default=None, help="write JSON-lines records here")
     p_ver.add_argument("--summary", default=None, help="write a summary CSV here")
     p_ver.set_defaults(func=cmd_verify)
@@ -287,8 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _build_config(args)
         return args.func(cfg)

@@ -1,24 +1,17 @@
 """Empirical verification of the shell bounds on concrete convex bodies.
 
 The shell of a body is centered at its inscribed-ball (Chebyshev) center.
-For planar support-function bodies the center solves the concave maximin
-
-    maximize over o of  min over t of  h(t) - <o, u(t)>,
-
-here in two steps.  The linear maximin over the 2048 support directions
-is solved exactly by a primal simplex on its 3-row dual, and certified
-by primal and dual feasibility of the final basis.  Its rows of positive
-dual weight, an antipodal pair or a spanning triple, seed one Newton on
-the contacts' optimality conditions, certified by weak duality to 1e-12
-(max|h| + |o|) if the grid scan finds every branch of the gap; a failed
-certificate reseeds the Newton with the gap minima at the center.  A
-ball about the LP center needs no Newton.  The circumscribed radius
-Newton-polishes the largest grid distances from the center, using the
-exact derivatives of the boundary along its normal angle.  Rotationally
-symmetric bodies restrict the center to the rotation axis, where the
-maximum lies at the foot of an arc center (closed form) or where two
-arcs' distance branches cross (Brent's bracketed root finder).  All 1-D
-searches come from `_optim`, so the module needs numpy alone.
+Flat support-function bodies are solved as stacks by `_flat`: the
+certified Chebyshev center (an exact LP on the 2048-direction grid, a
+contact Newton and a weak-duality certificate) and the Newton-polished
+circumscribed radius.  `inscribed_ball`, `circumscribed_from_center` and
+`check_bounds` run a single body as a stack of one; `verify_batch` checks
+the seeded random bodies as stacks of at most STACK_CAP, and a body's
+record does not depend on the stack or the process it was checked in.
+Rotationally symmetric bodies restrict the center to the rotation axis,
+where the maximum lies at the foot of an arc center (closed form) or
+where two arcs' distance branches cross (Brent's bracketed root finder).
+All 1-D searches come from `_optim`, so the module needs numpy alone.
 
 Evaluations on the fixed direction grids (the 2048-direction support
 grid, and the rolling check's default 100 samples and 512 probes) read
@@ -33,24 +26,19 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import (
-    bracketed_root,
-    local_extrema_mask,
-    refine_critical_points,
-)
+from ._flat import _BodyError, _circumscribed, _inscribed_support, _support_gap_minima
+from ._optim import bracketed_root
 from .bodies import (
-    GRID_N,
-    THETA_GRID,
     RevolutionBody,
     angle_grid,
-    cos_sin,
     curvature_range,
-    random_pinched_curve,
+    random_pinched_stack,
     rho_range,
     unit_vectors,
 )
@@ -65,7 +53,7 @@ from .geometry import (
 )
 from .spindle import ProfileCurve, arc_point, profile_extreme_dists, segment_length
 
-BOUND_SLACK = 1e-7  # tolerance absorbing discretization in the satisfied flags
+BOUND_SLACK = 1e-7  # slack of the satisfied flags, relative to r1: absorbs discretization
 
 
 @dataclass(frozen=True)
@@ -102,238 +90,6 @@ class ShellResult:
         if self.quotient_bound is not None:
             m["quotient"] = self.quotient_bound - self.quotient
         return m
-
-
-# ---------------------------------------------------------------------------
-# Support-gap minimization (flat bodies).
-
-def _gap_fns(body, o):
-    """f(t) = h(t) - <o, u(t)> and its t-derivatives (f'' = rho - f)."""
-    o = np.asarray(o, float)
-
-    def f(t):
-        t = np.asarray(t, float)
-        cos_t, sin_t = cos_sin(t)
-        return body.h(t) - (cos_t * o[0] + sin_t * o[1])
-
-    def fp(t):
-        t = np.asarray(t, float)
-        cos_t, sin_t = cos_sin(t)
-        return body.h_prime(t) + sin_t * o[0] - cos_t * o[1]
-
-    def fpp(t):
-        return np.asarray(body.rho(t), float) - np.asarray(f(t), float)
-
-    return f, fp, fpp
-
-
-def _support_gap_minima(body, o):
-    """Newton-refined local minima of the support gap at center o.
-
-    Returns (global_min, thetas, values), values ascending and thetas
-    deduplicated to one representative per branch.  On a ball about o
-    (`_is_ball`) the gap is flat and f'' ~ 0 gives Newton nothing to
-    refine, so its unrefined grid minimum is the only branch.
-    """
-    f, fp, fpp = _gap_fns(body, o)
-    f_grid = f(THETA_GRID)
-    i_min = int(np.argmin(f_grid))
-    if _is_ball(f_grid, o):
-        return float(f_grid[i_min]), THETA_GRID[i_min:i_min + 1], f_grid[i_min:i_min + 1]
-    min_mask, _ = local_extrema_mask(f_grid)
-    t0 = THETA_GRID[min_mask]
-    step = 2.0 * math.pi / GRID_N
-    t_ref = refine_critical_points(fp, fpp, t0, step)
-    v_ref = np.asarray(f(t_ref), float)
-    v0 = f_grid[min_mask]
-    better = v_ref <= v0
-    thetas = np.mod(np.where(better, t_ref, t0), 2.0 * math.pi)
-    values = np.where(better, v_ref, v0)
-    # one representative per branch
-    order = np.argsort(thetas)
-    thetas, values = thetas[order], values[order]
-    if thetas.size > 1:
-        gaps = np.diff(thetas, append=thetas[0] + 2.0 * math.pi)
-        fresh = np.concatenate([[True], gaps[:-1] > 1e-6])
-        thetas, values = thetas[fresh], values[fresh]
-    gmin = float(min(values.min(), f_grid.min()))
-    order = np.argsort(values)
-    return gmin, thetas[order], values[order]
-
-
-def _is_ball(f_grid, o) -> bool:
-    """Whether the gap f_grid at o is flat to its rounding, 1e-13 (max |gap| + |o|): a ball."""
-    scale = float(np.abs(f_grid).max()) + float(np.linalg.norm(o))
-    return float(f_grid.max() - f_grid.min()) <= 1e-13 * scale
-
-
-_LP_TOL = 1e-13  # feasibility tolerance of the maximin LP, relative to max |h| + |o|
-_LP_PIVOT_TOL = 1e-12  # smallest basis coefficient the ratio test may pivot on
-_LP_BLAND_AFTER = 3  # consecutive degenerate pivots before Bland's rule takes over
-
-
-def _maximin_lp(a_dirs, b_vals):
-    """max t s.t. <o, u_j> + t <= h_j; returns (o, t, basis, lam).
-
-    Primal simplex on the dual  min h.lam  s.t.  sum lam_j u_j = 0,
-    sum lam_j = 1, lam >= 0, whose basis is three rows: (o, t) makes them
-    tight and lam_B are their weights.  Rows 0, n//3 and 2n//3 of an
-    evenly spaced direction grid positively span the plane, so they start
-    dual feasible.  Each pivot brings in the most violated row (a Remez
-    exchange) and drops the basis row picked by the ratio test on lam_B;
-    during a run of degenerate pivots Bland's rule (lowest index first)
-    takes over, so a stall cannot cycle.  The loop stops when every row
-    holds to _LP_TOL (max |h| + |o|), relative to the size of the
-    rounding in the slacks, whatever the scale of the body, with
-    lam_B >= 0: primal and dual feasibility certify that t is the
-    maximum.  The basis rows count as tight, so their rounding residue
-    never picks one of them to enter again.  Raises ValueError on
-    non-finite data, a start basis that does not span, or a pivot count
-    above the number of rows.
-    """
-    h = np.asarray(b_vals, float)
-    rows = np.column_stack([a_dirs, np.ones(h.size)])
-    if not (np.isfinite(h).all() and np.isfinite(rows).all()):
-        raise ValueError("support maximin LP: non-finite support values")
-    n, h_size = h.size, float(np.abs(h).max())
-    basis = [0, n // 3, 2 * n // 3]
-    if not abs(np.linalg.det(rows[basis])) > 1e-12:
-        raise ValueError("support maximin LP: singular start basis (rows 0, n//3, 2n//3)")
-    m_inv = np.linalg.inv(rows[basis])
-    if m_inv[2].min() < 0.0:
-        raise ValueError("support maximin LP: the start rows 0, n//3, 2n//3 "
-                         "do not positively span the plane")
-    stall = 0
-    for _ in range(n):
-        x = m_inv @ h[basis]  # (o, t) with the basis rows tight
-        lam = m_inv[2]  # basis weights: rows[basis].T @ lam = (0, 0, 1)
-        slack = h - rows @ x
-        # the basis rows are tight by construction: their rounding residue
-        # must not let one of them enter again, which cycles on dense grids
-        slack[basis] = 0.0
-        tol = _LP_TOL * (h_size + math.hypot(x[0], x[1]))
-        violated = slack < -tol
-        if not violated.any():
-            if lam.min() < -_LP_TOL:
-                raise ValueError("support maximin LP: a basis weight went negative")
-            return x[:2], float(x[2]), np.array(basis), lam
-        bland = stall >= _LP_BLAND_AFTER
-        k = int(np.argmax(violated)) if bland else int(np.argmin(slack))
-        w = rows[k] @ m_inv  # rows[k] = sum_i w_i rows[basis[i]]
-        pos = w > _LP_PIVOT_TOL
-        ratio = np.full(3, np.inf)
-        ratio[pos] = np.maximum(lam[pos], 0.0) / w[pos]
-        step = ratio.min()
-        if not math.isfinite(step):
-            raise ValueError("support maximin LP: no basis row can leave (unbounded dual)")
-        if bland:
-            leave = min((basis[i], i) for i in range(3) if ratio[i] <= step)[1]
-        else:
-            leave = int(np.argmin(ratio))
-        stall = stall + 1 if step <= _LP_TOL else 0
-        basis[leave] = k
-        m_inv = np.linalg.inv(rows[basis])
-    raise ValueError(f"support maximin LP: no optimum after {n} pivots")
-
-
-_NEWTON_ITERS = 8  # contact Newton steps; the corpus converges in at most four
-_NEWTON_STEP_TOL = 1e-15  # a center step below this (max |h| + |o|) has converged
-_ACTIVE_WEIGHT = 1e-9  # LP weights above this mark the active contacts
-_CERT_TOL = 1e-12  # accepted certificate gap, relative to max |h| + |o|
-_EXCHANGE_ROUNDS = 4  # exchange rounds after the first certificate fails
-
-
-def _contact_newton(body, o, t, thetas, lam, size):
-    """Newton on (o, t, lam) for h(theta_i) - <o, u_i> = t, sum lam_i u_i = 0, sum lam_i = 1.
-
-    theta_i(o) is the exact gap minimum next to each seed, refined at every
-    step; seeds on one branch merge, and the three heaviest contacts stay.
-    With d theta_i / d o = u_perp_i / f''_i the Jacobian rows are [-u_i, -1,
-    0], [sum lam_i u_perp_i u_perp_i^T / f''_i, 0, U^T] and [0, 0, 1^T], for
-    a ridge pair and a triple alike.  Stops after a center step below
-    _NEWTON_STEP_TOL (size + |o|), contacts refined at the final center.
-    Returns (o, thetas, lam), or None for fewer than two contacts, a
-    contact without curvature, or a singular step.
-    """
-    f, fp, fpp = _gap_fns(body, o)
-    thetas = refine_critical_points(fp, fpp, thetas, 0.05)
-    same = np.abs(np.remainder(thetas[:, None] - thetas + math.pi, 2.0 * math.pi) - math.pi) <= 1e-6
-    first = same.argmax(axis=1)  # the first seed on each one's branch
-    keep = first == np.arange(thetas.size)
-    thetas, lam = thetas[keep], np.bincount(first, lam, thetas.size)[keep]
-    heaviest = np.argsort(-lam, kind="stable")[:3]  # an added fourth contact leaves
-    thetas, lam, m = thetas[heaviest], lam[heaviest], heaviest.size
-    if m < 2:
-        return None
-    jac = np.zeros((m + 3, m + 3))
-    jac[:m, 2], jac[m + 2, 3:] = -1.0, 1.0
-    for _ in range(_NEWTON_ITERS):
-        curv = np.asarray(fpp(thetas), float)
-        if not curv.min() > 0.0:  # NaN fails too
-            return None
-        u = unit_vectors(thetas)
-        u_perp = np.column_stack([-u[:, 1], u[:, 0]])
-        jac[:m, :2], jac[m:m + 2, 3:] = -u, u.T
-        jac[m:m + 2, :2] = (u_perp.T * (lam / curv)) @ u_perp
-        res = np.concatenate([np.asarray(f(thetas), float) - t, u.T @ lam, [lam.sum() - 1.0]])
-        try:
-            delta = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            return None
-        o, t, lam = o + delta[:2], t + delta[2], lam + delta[3:]
-        f, fp, fpp = _gap_fns(body, o)
-        thetas = refine_critical_points(fp, fpp, thetas, 0.05)
-        if math.hypot(delta[0], delta[1]) <= _NEWTON_STEP_TOL * (size + float(np.linalg.norm(o))):
-            break
-    return o, thetas, lam
-
-
-def _inscribed_support(body, grid_offset=0.0):
-    """Chebyshev center of a support-function body: (o, r, gap).
-
-    The LP's rows of weight above _ACTIVE_WEIGHT seed `_contact_newton`;
-    a ball about the LP's center skips it, and its gap (t minus the least
-    grid gap) compares grid values only.  r is the least Newton-refined
-    grid local minimum of the gap at o.  For w = lam / sum lam >= 0 weak
-    duality bounds the optimum by sum w_i h(theta_i) + |sum w_i u_i| h_max,
-    as |o*| <= h_max = max_j h_j / cos(pi/n): every boundary point has a
-    grid normal within pi/n of its direction.  The certificate, gap <=
-    _CERT_TOL (size + |o|) with size = max |h| on the grid, assumes that
-    the grid sees every branch of the gap: a dip under about
-    rho (pi/n)^2 / 2 between grid points is missed.  If it fails, or a
-    weight goes negative, an exchange round reruns the Newton from the
-    contacts plus the gap minima at o (weight 0, the heaviest three
-    kept); after _EXCHANGE_ROUNDS a ValueError names the gap.  grid_offset
-    rotates the grid and must not change the result.
-    """
-    thetas = THETA_GRID + grid_offset if grid_offset else THETA_GRID
-    h_grid = np.asarray(body.h(thetas), float)
-    o, t, basis, lam = _maximin_lp(unit_vectors(thetas), h_grid)
-    cos_t, sin_t = cos_sin(thetas)
-    f_grid = h_grid - (cos_t * o[0] + sin_t * o[1])
-    if _is_ball(f_grid, o):  # every direction touches
-        return o, float(f_grid.min()), t - float(f_grid.min())
-    size = float(np.abs(h_grid).max())
-    h_max = float(h_grid.max()) / math.cos(math.pi / thetas.size)
-    act = lam > _ACTIVE_WEIGHT
-    contacts, weights, cuts, gap = thetas[basis[act]], lam[act], np.empty(0), math.inf
-    for _ in range(_EXCHANGE_ROUNDS + 1):
-        # an exact antipodal pair holds its ridge value anywhere along the
-        # ridge, so a third contact below it enters only as a seed
-        solved = _contact_newton(body, o, t, np.concatenate([contacts, cuts]),
-                                 np.concatenate([weights, np.zeros(cuts.size)]), size)
-        upper = math.inf
-        if solved is not None and solved[2].min() >= 0.0:
-            o, contacts, weights = solved
-            w = weights / weights.sum()
-            drift = float(np.linalg.norm(w @ unit_vectors(contacts)))
-            upper = float(w @ body.h(contacts)) + drift * h_max
-        lower, cuts, _ = _support_gap_minima(body, o)
-        gap = upper - lower
-        if gap <= _CERT_TOL * (size + float(np.linalg.norm(o))):
-            return o, lower, gap
-    raise ValueError(f"inscribed ball: certificate gap {gap:.3g} above "
-                     f"{_CERT_TOL:g} (max|h| + |o|) after {_EXCHANGE_ROUNDS} exchange rounds")
 
 
 # ---------------------------------------------------------------------------
@@ -423,76 +179,99 @@ def _inscribed_revolution(body: RevolutionBody):
     return pts[i], float(g[i])
 
 
+# each flat body's certified inscribed (center, r), keyed weakly by the
+# body: that center is interior, so circumscribed_from_center need not
+# scan the body's gap minima again for it (the fact cannot go stale, as
+# bodies are not changed in place)
+_BALLS = weakref.WeakKeyDictionary()
+
+
 def inscribed_ball(body):
     """Center and radius of the largest ball inside the body.
 
-    Flat support bodies solve the concave maximin over the plane, the
-    radius certified by weak duality as `_inscribed_support` states;
-    revolution bodies maximize along the rotation axis over closed-form
-    candidates: the feet of the arc centers and the crossings of two
-    arcs' distance branches.
+    Flat support bodies solve the concave maximin over the plane as a
+    stack of one, the radius certified by weak duality as
+    `_inscribed_support` states; revolution bodies maximize along the
+    rotation axis over closed-form candidates: the feet of the arc
+    centers and the crossings of two arcs' distance branches.
     """
     if isinstance(body, RevolutionBody):
         return _inscribed_revolution(body)
-    return _inscribed_support(body)[:2]
+    o, r, _ = _inscribed_support(body.stack)
+    _BALLS[body] = (o[0], r[0])
+    return o[0], float(r[0])
 
 
 def circumscribed_from_center(body, center):
     """Largest geodesic distance from center to the boundary.
 
-    The center must be interior.  Support bodies scan the boundary over the
-    direction grid and Newton-polish the top local maxima; revolution
-    bodies use the per-arc closed form.
+    The center must be interior: a flat body tests it by its support gap
+    minima, unless it is the body's certified inscribed center with r >
+    0.  Support bodies scan the boundary over the direction grid and
+    Newton-polish the top local maxima (`_circumscribed`, as a stack of
+    one); revolution bodies use the per-arc closed form.
     """
     if isinstance(body, RevolutionBody):
         lo, hi = profile_extreme_dists(body.profile, center)
         if lo <= 0.0:
             raise ValueError("center must be interior to the body")
         return float(hi)
-    o = np.asarray(center, float)
-    gmin, _, _ = _support_gap_minima(body, o)
-    if gmin <= 0.0:
+    o = np.asarray(center, float)[None]
+    stack = body.stack
+    ball = _BALLS.get(body)
+    certified = ball is not None and ball[1] > 0.0 and np.array_equal(ball[0], o[0])
+    if not certified and _support_gap_minima(stack, o)[0][0] <= 0.0:
         raise ValueError("center must be interior to the body")
-    bpts = np.asarray(body.boundary(THETA_GRID))
-    d2 = ((bpts - o) ** 2).sum(axis=1)
-    _, max_mask = local_extrema_mask(d2)
-    cand = THETA_GRID[max_mask]
-    cand = cand[np.argsort(d2[max_mask])][-4:]
-
-    # f = |b - o|^2 / 2 along the normal angle t, where b' = rho u_perp:
-    # f' = rho <b - o, u_perp>,  f'' = rho' <b - o, u_perp> + rho^2 - rho <b - o, u>
-    def arms(t):
-        rel = np.asarray(body.boundary(t)) - o
-        u = unit_vectors(t)
-        return (rel * u).sum(axis=-1), rel[..., 1] * u[..., 0] - rel[..., 0] * u[..., 1]
-
-    def fp(t):
-        return np.asarray(body.rho(t), float) * arms(t)[1]
-
-    def fpp(t):
-        along, across = arms(t)
-        rho = np.asarray(body.rho(t), float)
-        return np.asarray(body.rho_prime(t), float) * across + rho * (rho - along)
-
-    # the distance is flat to second order at a maximum: a 1e-10 step leaves
-    # an error far below rounding, and near-round bodies (f'' ~ 0) stop there
-    # instead of stepping through rounding noise
-    t = refine_critical_points(fp, fpp, cand, 2.0 * math.pi / GRID_N, tol=1e-10)
-    polished = ((np.asarray(body.boundary(t)) - o) ** 2).sum(axis=-1)
-    return math.sqrt(max(float(d2.max()), float(polished.max())))
+    return float(_circumscribed(stack, o)[0])
 
 
 def _pinch_precondition(body, pinch: PinchSpec):
-    kmin, kmax = curvature_range(body)
+    """Raise when the body, or a body of a stack, leaves the curvature pinching."""
+    kmin, kmax = (np.atleast_1d(v) for v in curvature_range(body))
     tol = 1e-8
-    if kmin < pinch.kappa1 - tol or kmax > pinch.kappa2 + tol:
-        lo, hi, lo_t, hi_t = rho_range(body)
-        raise ValueError(
+    bad = np.flatnonzero((kmin < pinch.kappa1 - tol) | (kmax > pinch.kappa2 + tol))
+    if bad.size:
+        k = bad[0]
+        lo, hi, lo_t, hi_t = (np.atleast_1d(v)[k] for v in rho_range(body))
+        raise _BodyError(k, (
             "body violates the curvature pinching: "
-            f"normal curvature range [{kmin:.12g}, {kmax:.12g}] vs "
+            f"normal curvature range [{kmin[k]:.12g}, {kmax[k]:.12g}] vs "
             f"[{pinch.kappa1:.12g}, {pinch.kappa2:.12g}] "
             f"(curvature radius extremes at t={hi_t:.6g} and t={lo_t:.6g})"
+        ))
+
+
+def _shells(pinch: PinchSpec, centers, inner, outer) -> list:
+    """ShellResults for bodies of these centers and radii; the bound formulas once per pinching.
+
+    The slack of the satisfied flags and the range test on r scale with
+    r1, so a scaled body and pinching keep their verdicts.
+    """
+    space = pinch.space
+    wb = width_bound(space, pinch).bound
+    qb = quotient_bound(pinch).bound if space.kind == "flat" else None
+    slack = BOUND_SLACK * pinch.r1
+    out = []
+    for k, (center, r, big_r) in enumerate(zip(centers, inner, outer)):
+        r, big_r = float(r), float(big_r)
+        r_clamped = min(max(r, pinch.r2), pinch.r1)
+        if abs(r_clamped - r) > 1e-6 * pinch.r1:
+            raise _BodyError(k, f"inscribed radius {r} escapes [{pinch.r2}, {pinch.r1}]; "
+                                "the body is not pinched as claimed")
+        width = big_r - r
+        quotient = big_r / r
+        ob = outer_radius_bound(space, pinch, r_clamped)
+        checks = BoundChecks(
+            width=width <= wb + slack,
+            outer=big_r <= ob + slack,
+            quotient=None if qb is None else quotient <= qb + slack,
         )
+        res = ShellResult(center, r, big_r, width, quotient, wb, ob, qb, checks)
+        # a non-finite shell is a numerical failure, not a bound violation
+        if not all(math.isfinite(v) for v in (r, big_r, *res.margins.values())):
+            raise _BodyError(k, f"non-finite shell: r = {r}, R = {big_r}, margins {res.margins}")
+        out.append(res)
+    return out
 
 
 def check_bounds(body, pinch: PinchSpec) -> ShellResult:
@@ -504,28 +283,20 @@ def check_bounds(body, pinch: PinchSpec) -> ShellResult:
     _pinch_precondition(body, pinch)
     center, r = inscribed_ball(body)
     big_r = circumscribed_from_center(body, center)
+    return _shells(pinch, [center], [r], [big_r])[0]
 
-    r_clamped = min(max(r, pinch.r2), pinch.r1)
-    if abs(r_clamped - r) > 1e-6:
-        raise ValueError(
-            f"inscribed radius {r} escapes [{pinch.r2}, {pinch.r1}]; "
-            "the body is not pinched as claimed"
-        )
-    width = big_r - r
-    quotient = big_r / r
-    wb = width_bound(space, pinch).bound
-    ob = outer_radius_bound(space, pinch, r_clamped)
-    qb = quotient_bound(pinch).bound if space.kind == "flat" else None
-    checks = BoundChecks(
-        width=width <= wb + BOUND_SLACK,
-        outer=big_r <= ob + BOUND_SLACK,
-        quotient=None if qb is None else quotient <= qb + BOUND_SLACK,
-    )
-    res = ShellResult(center, r, big_r, width, quotient, wb, ob, qb, checks)
-    # a non-finite shell is a numerical failure, not a bound violation
-    if not all(math.isfinite(v) for v in (r, big_r, *res.margins.values())):
-        raise ValueError(f"non-finite shell: r = {r}, R = {big_r}, margins {res.margins}")
-    return res
+
+def _check_stack(stack, pinch: PinchSpec) -> list:
+    """`check_bounds` for every body of a stack of flat bodies.
+
+    The certified center of r > 0 goes straight to the circumscribed scan.
+    """
+    _pinch_precondition(stack, pinch)
+    centers, inner, _ = _inscribed_support(stack)
+    outside = np.flatnonzero(inner <= 0.0)
+    if outside.size:
+        raise _BodyError(outside[0], "center must be interior to the body")
+    return _shells(pinch, centers, inner, _circumscribed(stack, centers))
 
 
 # ---------------------------------------------------------------------------
@@ -605,23 +376,46 @@ def _record_from_result(res: ShellResult, seed, pinch: PinchSpec) -> dict:
     return rec
 
 
-def _batch_worker(args):
-    kappa1, kappa2, seed, modes = args
+STACK_CAP = 64  # bodies per stack, so peak memory does not grow with the seed count
+
+
+def _check_share(kappa1, kappa2, seeds, modes):
+    """Records of the seeded random bodies, checked in stacks of at most STACK_CAP."""
     pinch = PinchSpec.from_curvatures(SpaceCurvature.flat(), kappa1, kappa2)
-    body = random_pinched_curve(pinch, seed=seed, modes=modes)
-    res = check_bounds(body, pinch)
-    return _record_from_result(res, seed, pinch)
+    records = []
+    for lo in range(0, len(seeds), STACK_CAP):
+        part = seeds[lo:lo + STACK_CAP]
+        try:
+            results = _check_stack(random_pinched_stack(pinch, part, modes), pinch)
+        except _BodyError as exc:
+            raise ValueError(f"seed {part[exc.body]}: {exc}") from None
+        records += [_record_from_result(res, seed, pinch) for res, seed in zip(results, part)]
+    return records
 
 
 def verify_batch(pinch: PinchSpec, seeds, modes: int = 8, jobs: int = 1):
-    """Run check_bounds on the seeded random-body family; records sorted by seed."""
-    tasks = [(pinch.kappa1, pinch.kappa2, int(s), modes) for s in seeds]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = math.ceil(len(tasks) / jobs)  # one equal share per worker
-            records = list(pool.map(_batch_worker, tasks, chunksize=chunk))
+    """Run check_bounds on the seeded random-body family; records sorted by seed.
+
+    The seeds split into `jobs` shares whose sizes differ by at most one.
+    The calling process checks the first share itself and jobs - 1 worker
+    processes check the others, each share as stacks of at most STACK_CAP
+    bodies.  A record does not depend on the stack or the share it was
+    checked in, so the records are the same for every jobs.  A failure
+    names its seed.
+    """
+    seeds = [int(s) for s in seeds]
+    size, extra = divmod(len(seeds), max(jobs, 1))  # the first `extra` shares take one more
+    ends = [i * size + min(i, extra) for i in range(max(jobs, 1) + 1)]
+    shares = [seeds[a:b] for a, b in zip(ends[:-1], ends[1:]) if b > a]
+    args = (pinch.kappa1, pinch.kappa2)
+    if len(shares) > 1:
+        with ProcessPoolExecutor(max_workers=len(shares) - 1) as pool:
+            futures = [pool.submit(_check_share, *args, share, modes) for share in shares[1:]]
+            records = _check_share(*args, shares[0], modes)
+            for fut in futures:
+                records += fut.result()
     else:
-        records = [_batch_worker(t) for t in tasks]
+        records = _check_share(*args, seeds, modes)
     records.sort(key=lambda r: r["seed"])
     return records
 

@@ -163,6 +163,18 @@ class TestVerifyCommand:
                 "--report", str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_report_bytes_independent_of_jobs(self, capsys, tmp_path):
+        # the caller checks one share and jobs - 1 workers the others; 3 gives
+        # the uneven shares 3 + 3 + 2
+        reports = []
+        for jobs in (1, 2, 3):
+            path = tmp_path / f"jobs{jobs}.jsonl"
+            code, _, _ = run_cli(capsys, "verify", "--flat", "--k1", "1", "--k2", "2",
+                                 "--seeds", "0..7", "--jobs", str(jobs), "--report", str(path))
+            assert code == 0
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1] == reports[2]
+
 
 class TestBadInput:
     @pytest.mark.parametrize("argv,needle", [

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from curvshell._optim import bracketed_min, bracketed_root
+from curvshell._optim import bracketed_min, bracketed_root, refine_critical_points
 
 ROOT_CASES = [
     (lambda x: x * x - 2.0, 0.0, 2.0),
@@ -66,3 +66,28 @@ class TestBracketedMin:
     def test_empty_bracket(self):
         with pytest.raises(ValueError):
             bracketed_min(np.cos, 1.0, 0.0, xtol=1e-12)
+
+
+class TestRefineCriticalPoints:
+    @staticmethod
+    def derivs(freq):
+        # f = (1 - cos(k t)) / k^2 per point, each with its own frequency k
+        def d(t, sel):
+            k = freq[sel]
+            return np.sin(k * t) / k, np.cos(k * t)
+        return d
+
+    def test_points_do_not_depend_on_each_other(self):
+        # each point freezes on its own step: alone, or among points that
+        # converge later, it ends on the same bits.  With a loose tol a
+        # point that kept stepping after its own convergence would move on
+        freq = np.array([1.0, 3.0, 7.0, 0.5, 2.0, 11.0])
+        t0 = np.array([0.3, 0.2, 0.1, 0.4, -0.4, 0.12])
+        together = refine_critical_points(self.derivs(freq), t0, 0.5, tol=1e-6)
+        assert np.abs(np.sin(freq * together)).max() <= 1e-9
+        for i in range(t0.size):
+            alone = refine_critical_points(self.derivs(freq[i:i + 1]), t0[i:i + 1], 0.5, tol=1e-6)
+            assert alone[0] == together[i]
+        mixed = [4, 0, 5]
+        picked = refine_critical_points(self.derivs(freq[mixed]), t0[mixed], 0.5, tol=1e-6)
+        assert np.array_equal(picked, together[mixed])

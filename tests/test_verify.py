@@ -1,16 +1,21 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import curvshell._flat as flat
+import curvshell.bodies as bodies
 import curvshell.verify as verify
 from curvshell import cli
 from curvshell.bodies import (
     THETA_GRID,
     RevolutionBody,
+    TrigStack,
     TrigSupportCurve,
     random_pinched_curve,
+    random_pinched_stack,
     spindle_support_curve,
     unit_vectors,
 )
@@ -34,7 +39,7 @@ from curvshell.verify import (
     verify_batch,
     write_jsonl,
 )
-from curvshell.verify import _inscribed_support, _maximin_lp, _support_gap_minima
+from curvshell._flat import _inscribed_support, _maximin_lp, _support_gap_minima
 
 from conftest import FLAT, HYPER, SPACES, SPHERE, cut_lens_profile, random_pinch, rng_for
 
@@ -57,7 +62,7 @@ def _highs_maximin(u, h):
 
 class TestMaximinLP:
     def assert_optimal(self, u, h):
-        o, t, _, _ = _maximin_lp(u, h)
+        (o,), (t,), _, _ = _maximin_lp(u, [h])
         assert abs(t - _highs_maximin(u, h)) <= 1e-9
         assert (h - u @ o - t).min() >= -1e-12
 
@@ -79,7 +84,7 @@ class TestMaximinLP:
         for t in ([0.0, 0.0], [0.4, -0.15]):
             h = TrigSupportCurve(0.75).translate(t).h(THETA_GRID)
             self.assert_optimal(_U_GRID, h)
-            o, r, _, _ = _maximin_lp(_U_GRID, h)
+            (o,), (r,), _, _ = _maximin_lp(_U_GRID, [h])
             assert np.linalg.norm(o - t) <= 1e-12
             assert_allclose(r, 0.75, atol=1e-12)
 
@@ -91,15 +96,15 @@ class TestMaximinLP:
     def test_scale_invariant(self):
         # the stopping tolerance follows the size of the data, not 1
         h = random_pinched_curve(PINCH_12, seed=5).h(THETA_GRID)
-        o, t, _, _ = _maximin_lp(_U_GRID, h)
+        (o,), (t,), _, _ = _maximin_lp(_U_GRID, [h])
         for lam in (1e-12, 1e12):
-            o_s, t_s, _, _ = _maximin_lp(_U_GRID, lam * h)
+            (o_s,), (t_s,), _, _ = _maximin_lp(_U_GRID, [lam * h])
             assert abs(t_s / lam - t) <= 1e-12
             assert np.linalg.norm(o_s / lam - o) <= 1e-9
 
     def test_bland_rule(self, monkeypatch):
         # Bland's rule from the first pivot: slower, but the same optimum
-        monkeypatch.setattr(verify, "_LP_BLAND_AFTER", 0)
+        monkeypatch.setattr(flat, "_LP_BLAND_AFTER", 0)
         self.assert_optimal(_U_GRID, spindle_support_curve(PINCH_12, 0.75).h(THETA_GRID))
         body = random_pinched_curve(PinchSpec.from_curvatures(FLAT, 1.0, 5.0), seed=4)
         self.assert_optimal(_U_GRID, body.h(THETA_GRID))
@@ -114,12 +119,12 @@ class TestMaximinLP:
     def test_named_failures(self):
         h = np.ones(GRID)
         with pytest.raises(ValueError, match="non-finite"):
-            _maximin_lp(_U_GRID, np.where(np.arange(GRID) == 5, np.nan, h))
+            _maximin_lp(_U_GRID, [np.where(np.arange(GRID) == 5, np.nan, h)])
         with pytest.raises(ValueError, match="singular start basis"):
-            _maximin_lp(np.tile([1.0, 0.0], (GRID, 1)), h)
+            _maximin_lp(np.tile([1.0, 0.0], (GRID, 1)), [h])
         half = unit_vectors(np.linspace(0.0, 0.9 * math.pi, GRID))
         with pytest.raises(ValueError, match="positively span"):
-            _maximin_lp(half, h)
+            _maximin_lp(half, [h])
 
 
 class TestInscribedBall:
@@ -143,8 +148,8 @@ class TestInscribedBall:
             calls.append(1)
             return refine(*args, **kwargs)
 
-        refine = verify.refine_critical_points
-        monkeypatch.setattr(verify, "refine_critical_points", counting)
+        refine = flat.refine_critical_points
+        monkeypatch.setattr(flat, "refine_critical_points", counting)
         circle = TrigSupportCurve(0.75)
         for body in (circle, circle.translate([0.4, -0.15]), circle.translate([1e3, 2e3])):
             _, r = inscribed_ball(body)
@@ -162,26 +167,31 @@ class TestInscribedBall:
         for seed in (1, 7, 23):
             body = random_pinched_curve(PINCH_12, seed=seed)
             center, r = inscribed_ball(body)
-            from curvshell.verify import _support_gap_minima
+            from curvshell._flat import _support_gap_minima
             for ang in np.linspace(0, 2 * math.pi, 9, endpoint=False):
                 off = center + 1e-5 * np.array([math.cos(ang), math.sin(ang)])
-                assert _support_gap_minima(body, off)[0] <= r + 1e-12
+                assert _support_gap_minima(body.stack, off[None])[0] <= r + 1e-12
 
-    def test_grid_offset_zero_uses_the_shared_grid(self, monkeypatch):
-        # only the shared grid object itself reads the cached trigonometric tables
+    def test_grid_values_read_the_shared_table(self, monkeypatch):
+        # the grid values come from the shared trigonometric table; the jet
+        # evaluates only off-grid points, never the whole grid
         body = random_pinched_curve(PINCH_12, seed=3)
-        full_grid_calls = []
-        trig = TrigSupportCurve._trig
+        tables, jet_sizes = [], []
+        table, jet = bodies._mode_table, TrigStack.jet
 
-        def spy(self, thetas):
-            thetas = np.asarray(thetas, float)
-            if thetas.size == GRID:
-                full_grid_calls.append(thetas is THETA_GRID)
-            return trig(self, thetas)
+        def table_spy(n, count):
+            tables.append((n, count))
+            return table(n, count)
 
-        monkeypatch.setattr(TrigSupportCurve, "_trig", spy)
-        _inscribed_support(body, 0.0)
-        assert full_grid_calls and all(full_grid_calls)
+        def jet_spy(self, body, centers=None):
+            at = jet(self, body, centers)
+            return lambda t, sel=None: jet_sizes.append(np.size(t)) or at(t, sel)
+
+        monkeypatch.setattr(bodies, "_mode_table", table_spy)
+        monkeypatch.setattr(TrigStack, "jet", jet_spy)
+        _inscribed_support(body.stack)
+        assert tables and set(tables) == {(GRID, body.rho_cos.size)}
+        assert jet_sizes and max(jet_sizes) < GRID
 
     @pytest.mark.parametrize("lam", [1e-12, 1e-6, 1e-3, 1e3, 1e6, 1e12])
     def test_scale_relative_polish(self, lam):
@@ -203,13 +213,15 @@ class TestInscribedBall:
             base_center, base_r = inscribed_ball(body)
             for _ in range(10):
                 off = rng.uniform(0, 2 * math.pi / 2048)
-                center, r, _ = _inscribed_support(body, grid_offset=off)
+                center, r = inscribed_ball(body.rotate(-off))  # the grid turned by off
+                c, s = math.cos(off), math.sin(off)
+                center = np.array([[c, -s], [s, c]]) @ center
                 assert abs(r - base_r) <= 1e-9
                 assert np.linalg.norm(center - base_center) <= 1e-9
 
     @staticmethod
     def assert_certified(body):
-        o, r, gap = _inscribed_support(body)
+        (o,), (r,), (gap,) = _inscribed_support(body.stack)
         size = float(np.abs(body.h(THETA_GRID)).max())
         tol = 1e-12 * (size + float(np.linalg.norm(o)))
         assert -tol <= gap <= tol
@@ -237,8 +249,8 @@ class TestInscribedBall:
 
     @staticmethod
     def count_newton(monkeypatch):
-        newton, calls = verify._contact_newton, []
-        monkeypatch.setattr(verify, "_contact_newton",
+        newton, calls = flat._contact_newton, []
+        monkeypatch.setattr(flat, "_contact_newton",
                             lambda *a: calls.append(1) or newton(*a))
         return calls
 
@@ -254,7 +266,7 @@ class TestInscribedBall:
         o, r, _ = self.assert_certified(body)
         assert len(calls) == 2
         assert abs(r - 0.5432508906704727) <= 1e-15 * r
-        assert np.ptp(_support_gap_minima(body, o)[2][:3]) <= 1e-15 * r
+        assert np.ptp(np.sort(_support_gap_minima(body.stack, o[None])[3])[:3]) <= 1e-15 * r
 
     def test_forced_exchange_round(self, monkeypatch):
         # a wrong first active set: the ridge pair without one contact, the
@@ -262,20 +274,21 @@ class TestInscribedBall:
         # one.  The certificate fails, exchange rounds (one for the ridge,
         # two for the triple) find the contacts again, and the center and
         # radius do not move
-        lp = verify._maximin_lp
+        lp = flat._maximin_lp
         ridge = random_pinched_curve(PINCH_12, seed=0)
         tri = TrigSupportCurve(1.0, [0.0, 0.5], [0.0, 0.0]).translate([0.3, -0.1]).rotate(0.4)
         for body, wrong in ((ridge, "drop"), (ridge, "swap"), (tri, "drop")):
-            o0, r0, _ = _inscribed_support(body)
+            (o0,), (r0,), _ = _inscribed_support(body.stack)
 
             def wrong_weights(u, h):
                 o, t, rows, lam = lp(u, h)
                 lam = lam.copy()
-                hi, lo = int(np.argmax(lam)), int(np.argmin(lam))
-                lam[hi], lam[lo] = (0.0, lam[lo]) if wrong == "drop" else (lam[lo], lam[hi])
+                w = lam[0]  # the one body's weights
+                hi, lo = int(np.argmax(w)), int(np.argmin(w))
+                w[hi], w[lo] = (0.0, w[lo]) if wrong == "drop" else (w[lo], w[hi])
                 return o, t, rows, lam
 
-            monkeypatch.setattr(verify, "_maximin_lp", wrong_weights)
+            monkeypatch.setattr(flat, "_maximin_lp", wrong_weights)
             calls = self.count_newton(monkeypatch)
             o, r, _ = self.assert_certified(body)
             monkeypatch.undo()
@@ -286,12 +299,14 @@ class TestInscribedBall:
     def test_uncertifiable_raises(self, monkeypatch, capsys):
         # no gap can pass a negative tolerance: the exchange rounds run out,
         # and the CLI reports the gap with exit code 1
-        monkeypatch.setattr(verify, "_CERT_TOL", -1.0)
+        monkeypatch.setattr(flat, "_CERT_TOL", -1.0)
         with pytest.raises(ValueError, match="certificate gap .* exchange rounds"):
             inscribed_ball(random_pinched_curve(PINCH_12, seed=0))
         argv = ["verify", "--flat", "--k1", "1", "--k2", "2", "--seeds", "0..0", "--jobs", "1"]
         assert cli.main(argv) == 1
-        assert "certificate gap" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "certificate gap" in err
+        assert "seed 0: inscribed ball: certificate gap" in err  # the failing seed is named
 
     def test_revolution_spindle(self):
         for space in (SPHERE, HYPER):
@@ -455,6 +470,31 @@ class TestCheckBounds:
         assert summary["all_satisfied"]
         assert summary["max_width"] <= width_bound(FLAT, PINCH_12).bound + 1e-7
 
+    def test_one_gap_minima_scan(self, monkeypatch):
+        # the certified center goes straight to the circumscribed scan: the
+        # certificate scans the gap minima, the interior test does not again
+        calls, scan = [], flat._support_gap_minima
+
+        def counting(*args):
+            calls.append(1)
+            return scan(*args)
+
+        monkeypatch.setattr(flat, "_support_gap_minima", counting)
+        monkeypatch.setattr(verify, "_support_gap_minima", counting)
+        check_bounds(random_pinched_curve(PINCH_12, seed=0), PINCH_12)
+        assert len(calls) == 1
+
+    def test_scale_relative_slack(self, monkeypatch):
+        # the slack of the flags and the range test on r follow r1: with R
+        # tripled, the body scaled by 1e-9 violates its bounds as the unit one does
+        circumscribed = verify.circumscribed_from_center
+        monkeypatch.setattr(verify, "circumscribed_from_center",
+                            lambda body, c: 3.0 * circumscribed(body, c))
+        for lam in (1.0, 1e-9):
+            pinch = PinchSpec.from_curvatures(FLAT, 1.0 / lam, 2.0 / lam)
+            res = check_bounds(random_pinched_curve(pinch, seed=0), pinch)
+            assert not res.satisfied.width and not res.satisfied.outer, lam
+
     def test_non_finite_shell_raises(self, monkeypatch):
         # a failed solve must not read as a bound violation
         monkeypatch.setattr(verify, "circumscribed_from_center", lambda body, c: math.inf)
@@ -593,6 +633,52 @@ class TestRolling:
             body = RevolutionBody.spindle(SpindleSpec(space, p, float(r_t)))
             assert rolling_check(body, p, samples=100)
             assert not rolling_check(body, tighter, samples=100)
+
+
+class TestStacks:
+    @staticmethod
+    def records(pinch, seeds):
+        stack = random_pinched_stack(pinch, seeds, 8)
+        return [json.dumps(verify._record_from_result(res, seed, pinch))
+                for res, seed in zip(verify._check_stack(stack, pinch), seeds)]
+
+    @pytest.mark.parametrize("k2", [1.1, 2.0, 5.0])
+    def test_records_independent_of_the_stack(self, k2):
+        # a body's record is the same bytes alone, between two other bodies
+        # and among eight
+        pinch = PinchSpec.from_curvatures(FLAT, 1.0, k2)
+        seeds = list(range(100, 108))
+        eight = self.records(pinch, seeds)
+        for i, seed in enumerate(seeds):
+            three = self.records(pinch, [1000 + i, seed, 2000 + i])[1]
+            assert self.records(pinch, [seed])[0] == three == eight[i]
+
+    def test_exchange_round_in_a_stack(self):
+        # the ridge body whose third contact needs an exchange round runs it
+        # alone, with the record it has in a stack of one
+        pinch = PinchSpec.from_curvatures(FLAT, 1.0, 5.0)
+        ridge = 3587535972445630950
+        assert self.records(pinch, [7, ridge, 8])[1] == self.records(pinch, [ridge])[0]
+
+    def test_single_body_matches_the_stack(self):
+        # check_bounds is a stack of one: its shell is the stack's
+        pinch = PinchSpec.from_curvatures(FLAT, 1.0, 2.0)
+        seeds = [11, 12, 13]
+        for seed, rec in zip(seeds, self.records(pinch, seeds)):
+            res = check_bounds(random_pinched_curve(pinch, seed=seed), pinch)
+            assert json.dumps(verify._record_from_result(res, seed, pinch)) == rec
+
+    def test_stacks_hold_at_most_the_cap(self, monkeypatch):
+        sizes, check = [], verify._check_stack
+
+        def counting(stack, pinch):
+            sizes.append(len(stack))
+            return check(stack, pinch)
+
+        monkeypatch.setattr(verify, "_check_stack", counting)
+        recs = verify_batch(PINCH_12, seeds=range(200))
+        assert [r["seed"] for r in recs] == list(range(200))
+        assert sum(sizes) == 200 and max(sizes) <= verify.STACK_CAP
 
 
 class TestBatchIO:
