@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from ._optim import local_extrema_mask, refine_critical_points
-from .bodies import GRID_N, THETA_GRID, cos_sin, unit_vectors
+from .bodies import _COS, _SIN, _U_GRID, GRID_N, THETA_GRID
 
 
 class _BodyError(ValueError):
@@ -45,8 +45,6 @@ class _BodyError(ValueError):
         self.body = int(body)
 
 
-_COS, _SIN = cos_sin(THETA_GRID)
-_U_GRID = unit_vectors(THETA_GRID)
 _GRID_STEP = 2.0 * math.pi / GRID_N
 
 

@@ -14,11 +14,13 @@ bodies as coefficient arrays, with per-body grid values and per-point
 jets; `random_pinched_stack` generates one from K seeds, and each flat
 body (`TrigSupportCurve.stack`, or `ArcSupportCurve` itself) is a stack
 of one.  Every product is per body or per point, so a body's values do
-not depend on the stack it is in.
+not depend on the stack it is in.  A `TrigSupportCurve` evaluates with
+the same coefficient block (`_coef_blocks`) and trigonometric vector, so
+its h, h' and rho on THETA_GRID equal its stack's `grid` bit for bit.
 
 The fixed direction grids (THETA_GRID, and `angle_grid`'s arrays for the
 rolling check's default sample and probe counts) are shared read-only
-arrays.  Evaluating a body on one of them reads cos(n t) and sin(n t)
+arrays.  Evaluating a body on one of them reads cos(m t) and sin(m t)
 from a per-process table keyed by the grid and the mode count instead of
 recomputing them; the tables hold the same values, so results are
 bit-identical to an evaluation on a copy of the grid.  Any other angle
@@ -57,31 +59,20 @@ _read_only(*_SHARED_GRIDS.values())
 THETA_GRID = _SHARED_GRIDS[GRID_N]
 
 
-def _frames_of(grid):
-    """(cos t, sin t, u, u_perp) of a shared grid, read-only."""
-    c, s = np.cos(grid), np.sin(grid)
-    return _read_only(c, s, np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1))
-
-
-_FRAMES = {n: _frames_of(grid) for n, grid in _SHARED_GRIDS.items()}
-
-
 def _shared(thetas) -> bool:
     return _SHARED_GRIDS.get(thetas.size) is thetas
 
 
-@functools.lru_cache(maxsize=16)  # a few mode counts on each shared grid
-def _mode_table(n, count):
-    """[cos(m t) | sin(m t)] over the shared grid of size n, modes m = 0 .. count + 1.
+def _trig_vector(thetas, modes):
+    """[cos(m t) | sin(m t)] at the angles thetas, modes m = 0 .. modes + 1, on a new last axis."""
+    arg = thetas[..., None] * np.arange(modes + 2.0)
+    return np.concatenate([np.cos(arg), np.sin(arg)], axis=-1)
 
-    One (n, 2 count + 4) array: the trigonometric vector of `TrigStack` at
-    every grid angle; `TrigSupportCurve` reads its modes 2 .. count + 1.
-    """
-    arg = _SHARED_GRIDS[n][:, None] * np.arange(count + 2.0)
-    table = np.empty((n, 2 * count + 4))
-    np.cos(arg, out=table[:, :count + 2])
-    np.sin(arg, out=table[:, count + 2:])
-    return _read_only(table)[0]
+
+@functools.lru_cache(maxsize=16)  # a few mode counts on each shared grid
+def _mode_table(n, modes):
+    """`_trig_vector` over the shared grid of size n: one read-only (n, 2 modes + 4) array."""
+    return _read_only(_trig_vector(_SHARED_GRIDS[n], modes))[0]
 
 
 def angle_grid(n):
@@ -90,41 +81,58 @@ def angle_grid(n):
     return grid if grid is not None else _even_angles(n)
 
 
-def cos_sin(thetas):
-    """(cos t, sin t), from the table on a shared grid."""
-    thetas = np.asarray(thetas, float)
-    if _shared(thetas):
-        return _FRAMES[thetas.size][:2]
-    return np.cos(thetas), np.sin(thetas)
-
-
-def _unit_frames(thetas):
-    """Unit normals u and tangents u_perp stacked on the last axis."""
-    if _shared(thetas):
-        return _FRAMES[thetas.size][2:]
-    c, s = np.cos(thetas), np.sin(thetas)
-    return np.stack([c, s], axis=-1), np.stack([-s, c], axis=-1)
-
-
 def unit_vectors(thetas):
     thetas = np.asarray(thetas, float)
-    if _shared(thetas):
-        return _FRAMES[thetas.size][2]
     return np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
 
 
-_U_GRID = unit_vectors(THETA_GRID)
+# cos t, sin t and the unit normals on THETA_GRID
+_COS, _SIN = _read_only(np.cos(THETA_GRID), np.sin(THETA_GRID))
+_U_GRID = _read_only(np.stack([_COS, _SIN], axis=-1))[0]
 
 
-class TrigSupportCurve:
+def _coef_blocks(h0, rho_cos, rho_sin, translation):
+    """(K, 2 M + 4, 5) coefficients of h, h', rho, rho', rho'' over `_trig_vector`, M modes.
+
+    Mode 0 carries h0, mode 1 the translation (h and h' only) and modes
+    2 .. M + 1 the series of rho, one block per row of rho_cos.
+    """
+    k, m = rho_cos.shape
+    ns, j = np.arange(m + 2.0), m + 2  # the sine half starts at j
+    coef = np.zeros((k, 2 * j, 5))
+    coef[:, 0, 0] = coef[:, 0, 2] = h0
+    coef[:, 1, 0], coef[:, j + 1, 0] = translation.T
+    denom = 1.0 - ns[2:] ** 2
+    coef[:, 2:j, 0], coef[:, j + 2:, 0] = rho_cos / denom, rho_sin / denom
+    coef[:, 2:j, 2], coef[:, j + 2:, 2] = rho_cos, rho_sin
+    # the t-derivative of c cos(nt) + s sin(nt) is n s cos(nt) - n c sin(nt)
+    for src, dst in ((0, 1), (2, 3), (3, 4)):
+        coef[:, :j, dst] = ns * coef[:, j:, src]
+        coef[:, j:, dst] = -ns * coef[:, :j, src]
+    return coef
+
+
+class _SupportCurve:
+    """A flat body given by its support function h(t) and h'(t)."""
+
+    space = SpaceCurvature.flat()
+
+    def boundary(self, thetas):
+        """Boundary points x = h u + h' u_perp for normal angles thetas."""
+        thetas = np.asarray(thetas, float)
+        h, hp = self.h(thetas), self.h_prime(thetas)
+        cos_t, sin_t = np.cos(thetas), np.sin(thetas)
+        return np.stack([h * cos_t - hp * sin_t, h * sin_t + hp * cos_t], axis=-1)
+
+
+class TrigSupportCurve(_SupportCurve):
     """Convex body whose curvature radius is a truncated trigonometric series.
 
     rho(t) = h0 + sum_n a_n cos(nt) + b_n sin(nt) over modes n >= 2; the
     missing first harmonics make the curve close up, and a translation
-    vector enters h only (rho is translation invariant).
+    vector enters h only (rho is translation invariant).  The body keeps
+    its `TrigStack` coefficient block, so it evaluates as its stack does.
     """
-
-    space = SpaceCurvature.flat()
 
     def __init__(self, h0, rho_cos=(), rho_sin=(), translation=(0.0, 0.0)):
         self.h0 = float(h0)
@@ -132,57 +140,33 @@ class TrigSupportCurve:
         self.rho_sin = np.asarray(rho_sin, float)
         if self.rho_cos.shape != self.rho_sin.shape:
             raise ValueError("cosine and sine coefficient arrays must align")
-        self.ns = np.arange(2, 2 + self.rho_cos.size)
         self.translation = np.asarray(translation, float)
-        denom = 1.0 - self.ns.astype(float) ** 2
-        self._h_cos = self.rho_cos / denom
-        self._h_sin = self.rho_sin / denom
+        self._coef = _coef_blocks(self.h0, self.rho_cos[None], self.rho_sin[None],
+                                  self.translation[None])[0]
 
-    def _trig(self, thetas):
+    def _series(self, thetas, col):
+        """Column col of the coefficient block (h, h', rho, rho', rho'') at thetas."""
         thetas = np.asarray(thetas, float)
-        if _shared(thetas):
-            m = self.ns.size
-            table = _mode_table(thetas.size, m)
-            return table[:, 2:m + 2], table[:, m + 4:]
-        arg = np.multiply.outer(thetas, self.ns)
-        return np.cos(arg), np.sin(arg)
+        modes = self.rho_cos.size
+        trig = _mode_table(thetas.size, modes) if _shared(thetas) else _trig_vector(thetas, modes)
+        return trig @ self._coef[:, col]
 
     def h(self, thetas):
         """Support values (distance from the origin to the tangent line)."""
-        thetas = np.asarray(thetas, float)
-        cos_a, sin_a = self._trig(thetas)
-        cos_t, sin_t = cos_sin(thetas)
-        out = self.h0 + cos_a @ self._h_cos + sin_a @ self._h_sin
-        out = out + cos_t * self.translation[0] + sin_t * self.translation[1]
-        return out
+        return self._series(thetas, 0)
 
     def h_prime(self, thetas):
-        thetas = np.asarray(thetas, float)
-        cos_a, sin_a = self._trig(thetas)
-        cos_t, sin_t = cos_sin(thetas)
-        out = -sin_a @ (self._h_cos * self.ns) + cos_a @ (self._h_sin * self.ns)
-        out = out - sin_t * self.translation[0] + cos_t * self.translation[1]
-        return out
+        return self._series(thetas, 1)
 
     def rho(self, thetas):
         """Curvature radius h + h''."""
-        cos_a, sin_a = self._trig(thetas)
-        return self.h0 + cos_a @ self.rho_cos + sin_a @ self.rho_sin
+        return self._series(thetas, 2)
 
     def rho_prime(self, thetas):
-        cos_a, sin_a = self._trig(thetas)
-        return -sin_a @ (self.rho_cos * self.ns) + cos_a @ (self.rho_sin * self.ns)
+        return self._series(thetas, 3)
 
     def rho_second(self, thetas):
-        cos_a, sin_a = self._trig(thetas)
-        n2 = self.ns.astype(float) ** 2
-        return -cos_a @ (self.rho_cos * n2) - sin_a @ (self.rho_sin * n2)
-
-    def boundary(self, thetas):
-        """Boundary points x = h u + h' u_perp for normal angles thetas."""
-        thetas = np.asarray(thetas, float)
-        u, up = _unit_frames(thetas)
-        return self.h(thetas)[..., None] * u + self.h_prime(thetas)[..., None] * up
+        return self._series(thetas, 4)
 
     @property
     def stack(self) -> "TrigStack":
@@ -195,7 +179,8 @@ class TrigSupportCurve:
 
     def rotate(self, alpha):
         """Body rotated by alpha about the origin."""
-        ca, sa = np.cos(alpha * self.ns), np.sin(alpha * self.ns)
+        ns = np.arange(2.0, 2 + self.rho_cos.size)
+        ca, sa = np.cos(alpha * ns), np.sin(alpha * ns)
         new_cos = self.rho_cos * ca - self.rho_sin * sa
         new_sin = self.rho_cos * sa + self.rho_sin * ca
         rot = np.array([[math.cos(alpha), -math.sin(alpha)], [math.sin(alpha), math.cos(alpha)]])
@@ -211,17 +196,16 @@ class TrigSupportCurve:
 class TrigStack:
     """K trigonometric bodies held as coefficient arrays and evaluated together.
 
-    Over the trigonometric vector v(t) = [cos(m t) | sin(m t)], m = 0 ..
-    M + 1, every body's h, h', rho, rho' and rho'' are linear: mode 0
-    carries h0, mode 1 the translation (h only) and modes 2 .. M + 1 the
-    series.  So body k is one (2 M + 4, 5) coefficient matrix, and
-    `grid` takes one matrix-vector product per body and column with the
-    shared `_mode_table`.  `jet` evaluates any (body, angle) pairs: per
-    evaluation it takes cos and sin of the pairs' mode arguments once and
-    multiplies them into a per-pair coefficient block gathered once per
-    call of `jet`, so a Newton solve never rebuilds the trigonometric
-    terms for f, f' and f''.  Every product is per body or per pair, so a
-    body's values do not depend on the stack it is in.
+    Body k is one (2 M + 4, 5) coefficient matrix of h, h', rho, rho'
+    and rho'' over the trigonometric vector [cos(m t) | sin(m t)], m = 0
+    .. M + 1 (`_coef_blocks`), and `grid` takes one matrix-vector product
+    per body and column with the shared `_mode_table`.  `jet` evaluates
+    any (body, angle) pairs: per evaluation it takes cos and sin of the
+    pairs' mode arguments once and multiplies them into a per-pair
+    coefficient block gathered once per call of `jet`, so a Newton solve
+    never rebuilds the trigonometric terms for f, f' and f''.  Every
+    product is per body or per pair, so a body's values do not depend on
+    the stack it is in.
     """
 
     space = SpaceCurvature.flat()
@@ -231,20 +215,8 @@ class TrigStack:
         self.rho_cos = np.asarray(rho_cos, float)
         self.rho_sin = np.asarray(rho_sin, float)
         self.translation = np.asarray(translation, float)
-        k, m = self.rho_cos.shape
-        self.modes, self._ns = m, np.arange(m + 2.0)
-        ns, j = self._ns, m + 2  # the sine half starts at j
-        coef = np.zeros((k, 2 * j, 5))
-        coef[:, 0, 0] = coef[:, 0, 2] = self.h0
-        coef[:, 1, 0], coef[:, j + 1, 0] = self.translation.T
-        denom = 1.0 - ns[2:] ** 2
-        coef[:, 2:j, 0], coef[:, j + 2:, 0] = self.rho_cos / denom, self.rho_sin / denom
-        coef[:, 2:j, 2], coef[:, j + 2:, 2] = self.rho_cos, self.rho_sin
-        # the t-derivative of c cos(nt) + s sin(nt) is n s cos(nt) - n c sin(nt)
-        for src, dst in ((0, 1), (2, 3), (3, 4)):
-            coef[:, :j, dst] = ns * coef[:, j:, src]
-            coef[:, j:, dst] = -ns * coef[:, :j, src]
-        self._coef = coef
+        self.modes = self.rho_cos.shape[1]
+        self._coef = _coef_blocks(self.h0, self.rho_cos, self.rho_sin, self.translation)
 
     def __len__(self):
         return self.h0.size
@@ -276,11 +248,9 @@ class TrigStack:
             block[:, m, 0] -= centers[:, 1]
             block[:, 1, 1] -= centers[:, 1]
             block[:, m, 1] += centers[:, 0]
-        ns = self._ns
 
         def at(t, sel=None):
-            arg = t[:, None] * ns
-            trig = np.concatenate([np.cos(arg), np.sin(arg)], axis=-1)
+            trig = _trig_vector(t, self.modes)
             return np.matmul(trig[:, None, :], block if sel is None else block[sel])[:, 0].T
 
         return at
@@ -313,15 +283,13 @@ class TrigStack:
         return lo, hi, lo_t, hi_t
 
 
-class ArcSupportCurve:
+class ArcSupportCurve(_SupportCurve):
     """Exact support-function view of a flat rounded spindle.
 
     Piecewise: h = r1 - a sin t over the main spans, h = r2 +- d cos t over
     the caps, with a = r1 - r_tilde, d the cap-center offset and the join
     normal angle phi = atan2(a, d).  rho is r1 or r2 accordingly.
     """
-
-    space = SpaceCurvature.flat()
 
     def __init__(self, pinch: PinchSpec, r_tilde: float):
         if not pinch.space.is_flat:
@@ -370,13 +338,6 @@ class ArcSupportCurve:
         """0: rho is constant inside each arc."""
         out = np.zeros_like(np.asarray(thetas, float))
         return out if out.ndim else float(out)
-
-    def boundary(self, thetas):
-        thetas = np.asarray(thetas, float)
-        u, up = _unit_frames(thetas)
-        h = np.asarray(self.h(thetas))
-        hp = np.asarray(self.h_prime(thetas))
-        return h[..., None] * u + hp[..., None] * up
 
     # the evaluators of `TrigStack`, as a stack of one
     def __len__(self):

@@ -13,13 +13,13 @@ where the maximum lies at the foot of an arc center (closed form) or
 where two arcs' distance branches cross (Brent's bracketed root finder).
 All 1-D searches come from `_optim`, so the module needs numpy alone.
 
-Evaluations on the fixed direction grids (the 2048-direction support
-grid, and the rolling check's default 100 samples and 512 probes) read
-the shared trigonometric tables of `bodies`, so a body costs no cos or
-sin on them.  The flat rolling check's outer test takes the square root
-of the largest squared distance: sqrt is monotone and correctly rounded,
-so the verdict is the distance test's bit for bit, without a
-(samples, probes, 2) array and its norm.
+Evaluations of a trigonometric body's series on the fixed direction
+grids (the 2048-direction support grid, and the rolling check's default
+100 samples and 512 probes) read the shared mode tables of `bodies`.
+The flat rolling check's outer test takes the square root of the largest
+squared distance: sqrt is monotone and correctly rounded, so the verdict
+is the distance test's bit for bit, without a (samples, probes, 2) array
+and its norm.
 """
 
 from __future__ import annotations
@@ -226,9 +226,13 @@ def circumscribed_from_center(body, center):
 
 
 def _pinch_precondition(body, pinch: PinchSpec):
-    """Raise when the body, or a body of a stack, leaves the curvature pinching."""
+    """Raise when the body, or a body of a stack, leaves the curvature pinching.
+
+    The tolerance is 1e-8 kappa2, so it scales with the pinching and stays
+    above the rounding of 1 / r at any scale.
+    """
     kmin, kmax = (np.atleast_1d(v) for v in curvature_range(body))
-    tol = 1e-8
+    tol = 1e-8 * pinch.kappa2
     bad = np.flatnonzero((kmin < pinch.kappa1 - tol) | (kmax > pinch.kappa2 + tol))
     if bad.size:
         k = bad[0]

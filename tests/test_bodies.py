@@ -5,14 +5,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from curvshell.bodies import (
+    GRID_N,
     ArcSupportCurve,
     PINCH_MARGIN,
     RevolutionBody,
     THETA_GRID,
     TrigSupportCurve,
+    _mode_table,
     angle_grid,
     closure_residual,
-    cos_sin,
     curvature_range,
     random_pinched_curve,
     rho_range,
@@ -22,6 +23,7 @@ from curvshell.bodies import (
 from curvshell.bounds import width_bound
 from curvshell.geometry import PinchSpec, SpaceCurvature
 from curvshell.spindle import SpindleSpec
+from curvshell.verify import check_bounds, rolling_check
 
 from conftest import FLAT, HYPER, SPHERE, random_pinch, rng_for
 
@@ -95,8 +97,6 @@ class TestGridTables:
                     got, want = getattr(body, name)(grid), getattr(body, name)(direct)
                     assert np.array_equal(got, want), (name, grid.size)
             assert np.array_equal(unit_vectors(grid), unit_vectors(direct))
-            for got, want in zip(cos_sin(grid), cos_sin(direct)):
-                assert np.array_equal(got, want)
 
     def test_arc_body_boundary_matches(self):
         body = spindle_support_curve(PINCH_12, 0.7)
@@ -106,9 +106,8 @@ class TestGridTables:
     def test_grids_and_tables_are_read_only(self):
         body = random_pinched_curve(PINCH_12, seed=1)
         for grid in SHARED_GRIDS:
-            assert not grid.flags.writeable
-            cos_a, sin_a = body._trig(grid)
-            for table in (cos_a, sin_a, *cos_sin(grid), unit_vectors(grid)):
+            body.h(grid)
+            for table in (grid, _mode_table(grid.size, body.rho_cos.size)):
                 assert not table.flags.writeable
                 with pytest.raises(ValueError):
                     table[0] = 1.0
@@ -120,7 +119,60 @@ class TestGridTables:
         assert grid.flags.writeable and angle_grid(101) is not grid
         assert np.array_equal(grid, np.arange(101) * (2.0 * math.pi / 101))
         body = random_pinched_curve(PINCH_12, seed=2)
-        assert body._trig(grid)[0].flags.writeable
+        before = _mode_table.cache_info()
+        for name in TABLED:
+            getattr(body, name)(grid)
+        assert _mode_table.cache_info() == before
+
+
+class TestSingleEvaluator:
+    @pytest.mark.parametrize("k2", [1.1, 2.0, 5.0])
+    def test_body_matches_its_stack(self, k2):
+        # a body and its stack of one read the same coefficients and table
+        pinch = PinchSpec.from_curvatures(FLAT, 1.0, k2)
+        for seed in range(25):
+            base = random_pinched_curve(pinch, seed=seed)
+            for body in (base, base.translate([0.3, -0.2]), base.rotate(0.7), base.scale(3.5)):
+                want = body.stack.grid[:, 0]
+                for name, row in zip(("h", "h_prime", "rho"), want):
+                    assert np.array_equal(getattr(body, name)(THETA_GRID), row), (name, seed)
+
+    @pytest.mark.parametrize("body", [random_pinched_curve(PINCH_12, seed=8).translate([0.1, 0.2]),
+                                      spindle_support_curve(PINCH_12, 0.7)])
+    def test_scalar_and_array_angles(self, body):
+        thetas = THETA_GRID[::171].reshape(3, 4)
+        for name in TABLED if isinstance(body, TrigSupportCurve) else TABLED[:4] + TABLED[5:]:
+            f = getattr(body, name)
+            point = f(0.3)
+            values = f(thetas)
+            if name == "boundary":
+                assert point.shape == (2,) and values.shape == (3, 4, 2)
+            else:
+                assert np.ndim(point) == 0 and values.shape == (3, 4)
+            flat = np.stack([f(t) for t in thetas.ravel()])
+            assert_allclose(values.reshape(flat.shape), flat, rtol=0, atol=1e-15)
+
+    def test_body_caches_no_grid(self):
+        # a checked body keeps only its coefficients: the benchmark holds
+        # many bodies, and a cached stack would pin its (3, 1, GRID_N) grid
+        body = random_pinched_curve(PINCH_12, seed=4)
+        check_bounds(body, PINCH_12)
+        rolling_check(body, PINCH_12)
+        seen, todo, sizes = set(), [vars(body)], []
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                sizes.append(obj.size)
+            elif isinstance(obj, dict):
+                todo += obj.values()
+            elif isinstance(obj, (list, tuple)):
+                todo += obj
+            elif hasattr(obj, "__dict__"):
+                todo.append(vars(obj))
+        assert sizes and max(sizes) < GRID_N
 
 
 class TestGenerator:

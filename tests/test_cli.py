@@ -138,6 +138,13 @@ class TestVerifyCommand:
         vals = parse_values("\n".join(l for l in out.split("\n") if "worst_outer" in l))
         assert abs(vals["worst_outer_margin"]) <= 1e-6
 
+    def test_spindle_family_at_large_curvatures(self, capsys):
+        # exactly pinched spindles pass where 1 / r1 rounds below kappa1
+        code, out, err = run_cli(capsys, "verify", "--flat", "--k1", "1e9", "--k2", "2e9",
+                                 "--family", "spindle", "--grid", "5")
+        assert code == 0, err
+        assert "5/5 satisfied" in out
+
     def test_curved_family(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--hyperbolic", "1", "--k1", "2", "--k2", "3",
                                "--family", "spindle", "--grid", "7")

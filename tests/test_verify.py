@@ -507,6 +507,20 @@ class TestCheckBounds:
         with pytest.raises(ValueError, match="curvature"):
             check_bounds(body, tighter)
 
+    def test_pinch_tolerance_follows_the_scale(self):
+        # the precondition allows 1e-8 kappa2: at 1e-9 an absolute 1e-8
+        # passed the tighter pinch, which then failed on the inscribed radius
+        body = random_pinched_curve(PinchSpec.from_curvatures(FLAT, 1e-9, 2e-9), seed=0)
+        with pytest.raises(ValueError, match="violates the curvature pinching"):
+            check_bounds(body, PinchSpec.from_curvatures(FLAT, 1.5e-9, 2e-9))
+        # at 1e9, 1 / r1 rounds one ulp (about 1.2e-7) below kappa1: exactly
+        # pinched spindles pass
+        for k1, k2 in [(1.0, 1.1), (1.0, 1.5), (1.0, 2.0), (1.0, 3.0), (1.0, 5.0), (2.0, 3.0),
+                       (0.5, 4.0)]:
+            pinch = PinchSpec.from_curvatures(FLAT, k1 * 1e9, k2 * 1e9)
+            for r_t in np.linspace(pinch.r2, pinch.r1, 5):
+                assert check_bounds(spindle_support_curve(pinch, float(r_t)), pinch).satisfied.all_ok
+
     def test_geometry_mismatch_raises(self):
         # a flat body is never checked against curved bounds, however close
         # the pinching's radii are to flat ones
