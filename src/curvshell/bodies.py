@@ -39,6 +39,9 @@ from .geometry import PinchSpec, SpaceCurvature, curvature_from_sphere_radius
 from .spindle import ProfileCurve, SpindleSpec, build_spindle, spindle_geometry
 
 GRID_N = 2048
+# highest harmonic of the random generator: more than two grid samples per
+# period of the top mode, and mode tables of at most 2048 x 2050 floats
+MAX_MODES = GRID_N // 2 - 1
 
 PINCH_MARGIN = 1e-6  # generated curvature radii keep PINCH_MARGIN * r1 from the band edges
 
@@ -433,6 +436,9 @@ def random_pinched_stack(pinch: PinchSpec, seeds, modes: int = 8) -> TrigStack:
         raise ValueError("the random curve generator produces flat-geometry bodies")
     if modes < 2:
         raise ValueError("need at least the n = 2 harmonic")
+    if modes > MAX_MODES:
+        raise ValueError(f"modes must be at most {MAX_MODES} (got {modes}): the "
+                         f"{GRID_N}-direction grid resolves no higher harmonic")
     ns = np.arange(2.0, modes + 1)
     decay = 1.0 / ns ** 2
     draws = np.empty((2, len(seeds), ns.size))

@@ -279,12 +279,14 @@ def _parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="check the bounds on generated bodies")
     _add_geometry_args(p_ver)
     p_ver.add_argument("--seeds", default="0..99", help="seed range A..B (random bodies)")
-    p_ver.add_argument("--modes", type=int, default=8, help="highest harmonic of the generator")
+    p_ver.add_argument("--modes", type=int, default=8,
+                       help="highest harmonic of the generator, 2 to 1023")
     p_ver.add_argument("--family", choices=["spindle"], default=None,
                        help="verify the extremal family instead of random bodies")
     p_ver.add_argument("--grid", type=int, default=33, help="family grid size")
-    p_ver.add_argument("--jobs", type=int, default=None,
-                       help=f"processes, the calling one included (default ${_JOBS_ENV} or 1)")
+    p_ver.add_argument("--jobs", type=int, default=None, metavar="N",
+                       help="at most N processes, the calling one included; one per 64 seeds "
+                            f"begun (default ${_JOBS_ENV} or 1)")
     p_ver.add_argument("--report", default=None, help="write JSON-lines records here")
     p_ver.add_argument("--summary", default=None, help="write a summary CSV here")
     p_ver.set_defaults(func=cmd_verify)

@@ -6,8 +6,9 @@ certified Chebyshev center (an exact LP on the 2048-direction grid, a
 contact Newton and a weak-duality certificate) and the Newton-polished
 circumscribed radius.  `inscribed_ball`, `circumscribed_from_center` and
 `check_bounds` run a single body as a stack of one; `verify_batch` checks
-the seeded random bodies as stacks of at most STACK_CAP, and a body's
-record does not depend on the stack or the process it was checked in.
+the seeded random bodies as stacks of at most STACK_CAP, in at most one
+process per STACK_CAP seeds begun, and a body's record does not depend on
+the stack or the process it was checked in.
 Rotationally symmetric bodies restrict the center to the rotation axis,
 where the maximum lies at the foot of an arc center (closed form) or
 where two arcs' distance branches cross (Brent's bracketed root finder).
@@ -400,16 +401,22 @@ def _check_share(kappa1, kappa2, seeds, modes):
 def verify_batch(pinch: PinchSpec, seeds, modes: int = 8, jobs: int = 1):
     """Run check_bounds on the seeded random-body family; records sorted by seed.
 
-    The seeds split into `jobs` shares whose sizes differ by at most one.
-    The calling process checks the first share itself and jobs - 1 worker
-    processes check the others, each share as stacks of at most STACK_CAP
-    bodies.  A record does not depend on the stack or the share it was
-    checked in, so the records are the same for every jobs.  A failure
-    names its seed.
+    `jobs` is the most processes to use, the calling one included.  The
+    seeds split into min(jobs, ceil(len(seeds) / STACK_CAP)) shares whose
+    sizes differ by at most one, so a worker is forked only for a share of
+    at least half a stack: below that, its fork and the copy-on-write
+    faults it causes cost more than the work it takes over.  The calling
+    process checks the first share itself and one worker process checks
+    each of the others, each share as stacks of at most STACK_CAP bodies.
+    A record does not depend on the stack or the share it was checked in,
+    so the records are the same for every jobs.  A failure names its seed.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1 (got {jobs})")
     seeds = [int(s) for s in seeds]
-    size, extra = divmod(len(seeds), max(jobs, 1))  # the first `extra` shares take one more
-    ends = [i * size + min(i, extra) for i in range(max(jobs, 1) + 1)]
+    n = max(min(jobs, -(-len(seeds) // STACK_CAP)), 1)
+    size, extra = divmod(len(seeds), n)  # the first `extra` shares take one more
+    ends = [i * size + min(i, extra) for i in range(n + 1)]
     shares = [seeds[a:b] for a, b in zip(ends[:-1], ends[1:]) if b > a]
     args = (pinch.kappa1, pinch.kappa2)
     if len(shares) > 1:

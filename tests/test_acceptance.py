@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from curvshell.bodies import RevolutionBody, random_pinched_curve, spindle_support_curve
+from curvshell.bodies import (
+    RevolutionBody,
+    random_pinched_curve,
+    random_pinched_stack,
+    spindle_support_curve,
+)
 from curvshell.bounds import (
     outer_radius_bound,
     quotient_bound,
@@ -27,7 +32,7 @@ from curvshell.bounds import (
 )
 from curvshell.geometry import PinchSpec, SpaceCurvature
 from curvshell.spindle import SpindleSpec, build_spindle, numeric_radii
-from curvshell.verify import check_bounds, rolling_check
+from curvshell.verify import STACK_CAP, _check_stack, check_bounds, rolling_check
 
 from conftest import FLAT, HYPER, SPHERE, rng_for
 
@@ -69,17 +74,33 @@ def random_pinch_for(space, rng):
 def corpus():
     """All random bodies and shell results of the no-counterexample suite.
 
-    Returns (batches, build_seconds); the build time belongs to the
-    criterion-5 runtime budget.
+    The bodies are checked as stacks of at most STACK_CAP, as `verify`
+    checks them.  Every 50th seed also goes through `random_pinched_curve`
+    and `check_bounds`, whose shell must equal the stack's bit for bit, so
+    the single-body path stays covered.  Returns (batches, build_seconds);
+    the build time belongs to the criterion-5 runtime budget.
     """
     t0 = time.perf_counter()
     out = {}
+    seeds = list(CORPUS_SEEDS)
     for k1, k2 in CORPUS_PINCHES:
         pinch = PinchSpec.from_curvatures(FLAT, k1, k2)
-        bodies = [random_pinched_curve(pinch, seed=s, modes=8) for s in CORPUS_SEEDS]
-        results = [check_bounds(b, pinch) for b in bodies]
+        bodies, results = [], []
+        for lo in range(0, len(seeds), STACK_CAP):
+            stack = random_pinched_stack(pinch, seeds[lo:lo + STACK_CAP], modes=8)
+            bodies += [stack.body(k) for k in range(len(stack))]
+            results += _check_stack(stack, pinch)
+        for i in range(0, len(seeds), 50):
+            single = check_bounds(random_pinched_curve(pinch, seed=seeds[i], modes=8), pinch)
+            assert_same_shell(single, results[i])
         out[(k1, k2)] = (pinch, bodies, results)
     return out, time.perf_counter() - t0
+
+
+def assert_same_shell(a, b):
+    assert a.center.tobytes() == b.center.tobytes()
+    assert (a.inner_r, a.outer_R) == (b.inner_r, b.outer_R)
+    assert a.margins == b.margins
 
 
 def test_criterion_1_flat_formula_reproduction():

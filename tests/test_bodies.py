@@ -247,6 +247,8 @@ class TestGenerator:
             random_pinched_curve(PinchSpec.from_curvatures(SPHERE, 1.0, 2.0), seed=0)
         with pytest.raises(ValueError):
             random_pinched_curve(PINCH_12, seed=0, modes=1)
+        with pytest.raises(ValueError, match="at most 1023"):
+            random_pinched_curve(PINCH_12, seed=0, modes=1024)
 
 
 class TestArcSupportCurve:

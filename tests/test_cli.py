@@ -171,8 +171,8 @@ class TestVerifyCommand:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_report_bytes_independent_of_jobs(self, capsys, tmp_path):
-        # the caller checks one share and jobs - 1 workers the others; 3 gives
-        # the uneven shares 3 + 3 + 2
+        # 8 seeds are less than half a stack per process, so every jobs
+        # checks them in the calling process alone
         reports = []
         for jobs in (1, 2, 3):
             path = tmp_path / f"jobs{jobs}.jsonl"
@@ -205,6 +205,8 @@ class TestBadInput:
          "--jobs must be at least 1"),
         (["verify", "--flat", "--k1", "1", "--k2", "2", "--seeds", "0..3", "--jobs", "-2"],
          "--jobs must be at least 1"),
+        (["verify", "--flat", "--k1", "1", "--k2", "2", "--modes", "1024", "--seeds", "0..0"],
+         "modes must be at most 1023"),
     ])
     def test_rejected(self, capsys, argv, needle):
         code, _, err = run_cli(capsys, *argv)

@@ -714,3 +714,42 @@ class TestBatchIO:
         parallel = verify_batch(PINCH_12, seeds=range(8), modes=6, jobs=2)
         for a, b in zip(serial, parallel):
             assert a == b
+
+    def test_pool_runs_one_worker_per_further_share(self, monkeypatch, tmp_path):
+        # 130 seeds begin three stacks: jobs 2 splits them 65 + 65 and jobs 3
+        # 44 + 43 + 43, the calling process checking the first share
+        pools = []
+
+        class Spy(verify.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers=max_workers)
+                self.shares = []
+                pools.append((max_workers, self.shares))
+
+            def submit(self, fn, *args):
+                self.shares.append(args[2])
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", Spy)
+        reports = []
+        for jobs in (1, 2, 3):
+            path = tmp_path / f"jobs{jobs}.jsonl"
+            write_jsonl(verify_batch(PINCH_12, seeds=range(130), modes=6, jobs=jobs), path)
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1] == reports[2]
+        assert pools == [(1, [list(range(65, 130))]),
+                         (2, [list(range(44, 87)), list(range(87, 130))])]
+
+    def test_small_batch_forks_no_worker(self, monkeypatch):
+        # 6 seeds are less than half a stack per process: jobs 2 runs serially
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was constructed")
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+        assert verify_batch(PINCH_12, seeds=range(6), modes=6, jobs=2) == \
+            verify_batch(PINCH_12, seeds=range(6), modes=6, jobs=1)
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match=rf"jobs must be at least 1 \(got {jobs}\)"):
+            verify_batch(PINCH_12, seeds=range(2), jobs=jobs)
