@@ -5,58 +5,26 @@ spherical shell (centered at the inscribed-ball center) enclosing a convex
 body whose normal curvatures are pinched between two constants, constructs
 the extremal rounded spindle bodies attaining those bounds in the flat,
 spherical and hyperbolic geometries, and verifies the bounds numerically
-on generated convex bodies.
+on generated convex bodies.  The package namespace holds the entry points;
+every other name is imported from its own module.
 """
 
-from .bodies import (
-    ArcSupportCurve,
-    RevolutionBody,
-    TrigSupportCurve,
-    curvature_range,
-    random_pinched_curve,
-    spindle_support_curve,
-)
+from .bodies import RevolutionBody, random_pinched_curve, spindle_support_curve
 from .bounds import (
-    QuotientBoundResult,
-    StabilityResult,
-    WidthBoundResult,
     outer_radius_bound,
     quotient_bound,
     quotient_bound_coarse,
     quotient_maximizer,
-    quotient_profile,
     stability_quotient_constant,
     stability_result,
     stability_width_constant,
     width_bound,
-    width_profile,
 )
-from .export import profile_svg, profile_xy, write_profile_csv, write_profile_svg
-from .geometry import (
-    PinchSpec,
-    SpaceCurvature,
-    admissible,
-    curvature_from_sphere_radius,
-    law_of_cosines_angle,
-    law_of_cosines_side,
-    sphere_radius_from_curvature,
-)
-from .spindle import (
-    Arc,
-    ProfileCurve,
-    SpindleGeometry,
-    SpindleSpec,
-    build_spindle,
-    numeric_radii,
-    sample_profile,
-    spindle_geometry,
-    spindle_radii,
-)
+from .export import write_profile_csv, write_profile_svg
+from .geometry import PinchSpec, SpaceCurvature
+from .spindle import SpindleSpec, build_spindle, numeric_radii, spindle_radii
 from .verify import (
-    BoundChecks,
-    ShellResult,
     check_bounds,
-    circumscribed_from_center,
     inscribed_ball,
     rolling_check,
     summarize_worst_margins,
@@ -67,51 +35,28 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arc",
-    "ArcSupportCurve",
-    "BoundChecks",
     "PinchSpec",
-    "ProfileCurve",
-    "QuotientBoundResult",
     "RevolutionBody",
-    "ShellResult",
     "SpaceCurvature",
-    "SpindleGeometry",
     "SpindleSpec",
-    "StabilityResult",
-    "TrigSupportCurve",
-    "WidthBoundResult",
-    "admissible",
     "build_spindle",
     "check_bounds",
-    "circumscribed_from_center",
-    "curvature_from_sphere_radius",
-    "curvature_range",
     "inscribed_ball",
-    "law_of_cosines_angle",
-    "law_of_cosines_side",
     "numeric_radii",
     "outer_radius_bound",
-    "profile_svg",
-    "profile_xy",
     "quotient_bound",
     "quotient_bound_coarse",
     "quotient_maximizer",
-    "quotient_profile",
     "random_pinched_curve",
     "rolling_check",
-    "sample_profile",
-    "spindle_geometry",
     "spindle_radii",
     "spindle_support_curve",
-    "sphere_radius_from_curvature",
     "stability_quotient_constant",
     "stability_result",
     "stability_width_constant",
     "summarize_worst_margins",
     "verify_batch",
     "width_bound",
-    "width_profile",
     "write_jsonl",
     "write_profile_csv",
     "write_profile_svg",

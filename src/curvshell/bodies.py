@@ -17,6 +17,9 @@ of one.  Every product is per body or per point, so a body's values do
 not depend on the stack it is in.  A `TrigSupportCurve` evaluates with
 the same coefficient block (`_coef_blocks`) and trigonometric vector, so
 its h, h' and rho on THETA_GRID equal its stack's `grid` bit for bit.
+Every body type, and a `TrigStack`, answers `rho_range()`: the extremes
+of its curvature radius, which `curvature_range` turns into the extremes
+of its normal curvature.
 
 The fixed direction grids (THETA_GRID, and `angle_grid`'s arrays for the
 rolling check's default sample and probe counts) are shared read-only
@@ -177,6 +180,10 @@ class TrigSupportCurve(_SupportCurve):
         return TrigStack(np.array([self.h0]), self.rho_cos[None], self.rho_sin[None],
                          self.translation[None])
 
+    def rho_range(self) -> tuple:
+        """(min, max, argmin, argmax) of the curvature radius, as its stack finds them."""
+        return tuple(float(v[0]) for v in self.stack.rho_range())
+
     def translate(self, t):
         return TrigSupportCurve(self.h0, self.rho_cos, self.rho_sin, self.translation + np.asarray(t, float))
 
@@ -258,7 +265,7 @@ class TrigStack:
 
         return at
 
-    def rho_extrema(self):
+    def rho_range(self):
         """Per body (min, max, argmin, argmax) of rho: grid scan plus Newton on rho'.
 
         All grid-local extrema are polished, not only the grid-global ones,
@@ -342,6 +349,10 @@ class ArcSupportCurve(_SupportCurve):
         out = np.zeros_like(np.asarray(thetas, float))
         return out if out.ndim else float(out)
 
+    def rho_range(self) -> tuple:
+        """(r2, r1) on the caps and the main arcs, at t = 0 and t = pi / 2."""
+        return self.pinch.r2, self.pinch.r1, 0.0, math.pi / 2.0
+
     # the evaluators of `TrigStack`, as a stack of one
     def __len__(self):
         return 1
@@ -390,28 +401,19 @@ class RevolutionBody:
     def spindle(cls, spec: SpindleSpec) -> "RevolutionBody":
         return cls(build_spindle(spec))
 
-
-def rho_range(body) -> tuple:
-    """(min, max, argmin, argmax) of the curvature radius; arrays for a TrigStack."""
-    if isinstance(body, TrigStack):  # per-body arrays
-        return body.rho_extrema()
-    if isinstance(body, TrigSupportCurve):
-        return tuple(float(v[0]) for v in body.stack.rho_extrema())
-    if isinstance(body, ArcSupportCurve):
-        return body.pinch.r2, body.pinch.r1, 0.0, math.pi / 2.0
-    if isinstance(body, RevolutionBody):
-        radii = [seg.radius for seg in body.profile.segments]
+    def rho_range(self) -> tuple:
+        """(min, max, nan, nan): the arc radii; a meridian has no normal-angle parameter."""
+        radii = [seg.radius for seg in self.profile.segments]
         return min(radii), max(radii), math.nan, math.nan
-    raise TypeError(f"unsupported body type {type(body).__name__}")
 
 
 def curvature_range(body) -> tuple:
     """(kmin, kmax): extremes of the normal curvature over the boundary; arrays for a TrigStack."""
-    lo, hi, _, _ = rho_range(body)
-    if isinstance(body, RevolutionBody):
-        return (curvature_from_sphere_radius(body.space, hi),
-                curvature_from_sphere_radius(body.space, lo))
-    return 1.0 / hi, 1.0 / lo
+    lo, hi, _, _ = body.rho_range()
+    if body.space.is_flat:
+        return 1.0 / hi, 1.0 / lo
+    return (curvature_from_sphere_radius(body.space, hi),
+            curvature_from_sphere_radius(body.space, lo))
 
 
 def closure_residual(body) -> float:
@@ -450,7 +452,7 @@ def random_pinched_stack(pinch: PinchSpec, seeds, modes: int = 8) -> TrigStack:
 
     mid = np.full(len(seeds), 0.5 * (pinch.r1 + pinch.r2))
     origin = np.zeros((len(seeds), 2))
-    lo, hi, _, _ = TrigStack(mid, a, b, origin).rho_extrema()
+    lo, hi, _, _ = TrigStack(mid, a, b, origin).rho_range()
     half_band = 0.5 * (pinch.r1 - pinch.r2)
     target = max(half_band - PINCH_MARGIN * pinch.r1, 0.0)
     up = np.divide(target, hi - mid, out=np.full(len(seeds), math.inf), where=hi > mid)

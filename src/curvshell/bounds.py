@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import FLAT, SPHERICAL, PinchSpec, SpaceCurvature, admissible
+from .geometry import FLAT, SPHERICAL, PinchSpec, SpaceCurvature, admissible, space_mismatch
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -66,6 +66,8 @@ def outer_radius_bound(space: SpaceCurvature, pinch: PinchSpec, r: float) -> flo
     Equals r exactly at both ends of [r2, r1] and when the pinching is
     degenerate.
     """
+    if space.c != pinch.space.c:
+        raise space_mismatch(space, pinch)
     r = _check_r_range(pinch, r)
     big_r, small_r = pinch.r1, pinch.r2
     u = big_r - r
@@ -97,6 +99,8 @@ def width_bound(space: SpaceCurvature, pinch: PinchSpec) -> WidthBoundResult:
     solves sin(ku) = sqrt(2) sin(k dd / 2) on the sphere and sinh(ku) =
     sqrt(2) sinh(k dd / 2) in the hyperbolic plane.  The bound is 2u - dd.
     """
+    if space.c != pinch.space.c:
+        raise space_mismatch(space, pinch)
     if not admissible(space, pinch.kappa1, pinch.kappa2):
         raise ValueError("pinching is not admissible for this space")
     big_r, small_r = pinch.r1, pinch.r2

@@ -12,7 +12,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,15 +32,6 @@ from .verify import check_bounds, summarize_worst_margins, verify_batch, write_j
 from .verify import _record_from_result
 
 _JOBS_ENV = "CURVSHELL_JOBS"
-
-
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
-
-    space: SpaceCurvature
-    pinch: PinchSpec
-    args: argparse.Namespace
 
 
 def _fmt(x: float) -> str:
@@ -76,27 +66,20 @@ def _jobs_from_env() -> int:
     return jobs
 
 
-def _build_config(args) -> RunConfig:
-    if args.command == "verify" and args.jobs is None:
-        args.jobs = _jobs_from_env()
-    space = _space_from(args)
-    return RunConfig(space, PinchSpec.from_curvatures(space, args.k1, args.k2), args)
-
-
 def _geometry_record(space: SpaceCurvature) -> dict:
     return {"c": space.c, "kind": space.kind, "k": space.k}
 
 
-def _resolve_r_tilde(cfg: RunConfig, token: str) -> float:
+def _resolve_r_tilde(pinch: PinchSpec, token: str) -> float:
     if token == "max-width":
-        return width_bound(cfg.space, cfg.pinch).maximizer_r
+        return width_bound(pinch.space, pinch).maximizer_r
     if token == "max-quotient":
-        return quotient_maximizer(cfg.pinch)
+        return quotient_maximizer(pinch)
     return float(token)
 
 
-def cmd_bound(cfg: RunConfig) -> int:
-    space, pinch, args = cfg.space, cfg.pinch, cfg.args
+def cmd_bound(pinch: PinchSpec, args) -> int:
+    space = pinch.space
     wb = width_bound(space, pinch)
     record = {
         "geometry": _geometry_record(space),
@@ -137,9 +120,9 @@ def cmd_bound(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_spindle(cfg: RunConfig) -> int:
-    space, pinch, args = cfg.space, cfg.pinch, cfg.args
-    r_tilde = _resolve_r_tilde(cfg, args.r)
+def cmd_spindle(pinch: PinchSpec, args) -> int:
+    space = pinch.space
+    r_tilde = _resolve_r_tilde(pinch, args.r)
     spec = SpindleSpec(space, pinch, r_tilde)
     r, big_r = spindle_radii(spec)
     print(f"r_tilde {_fmt(r)}")
@@ -178,10 +161,10 @@ def _parse_seed_range(token: str):
     return [int(token)]
 
 
-def _spindle_family_records(cfg: RunConfig, grid: int):
-    space, pinch = cfg.space, cfg.pinch
+def _spindle_family_records(pinch: PinchSpec, args):
+    space = pinch.space
     records = []
-    for i, r_tilde in enumerate(np.linspace(pinch.r2, pinch.r1, grid)):
+    for i, r_tilde in enumerate(np.linspace(pinch.r2, pinch.r1, args.grid)):
         spec = SpindleSpec(space, pinch, float(r_tilde))
         body = (spindle_support_curve(pinch, float(r_tilde)) if space.is_flat
                 else RevolutionBody.spindle(spec))
@@ -193,14 +176,14 @@ def _spindle_family_records(cfg: RunConfig, grid: int):
     return records
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    space, pinch, args = cfg.space, cfg.pinch, cfg.args
+def cmd_verify(pinch: PinchSpec, args) -> int:
+    space = pinch.space
     if args.grid < 1:
         raise ValueError(f"--grid must be at least 1 (got {args.grid})")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1 (got {args.jobs})")
     if args.family == "spindle":
-        records = _spindle_family_records(cfg, args.grid)
+        records = _spindle_family_records(pinch, args)
         label = "r_tilde"
     else:
         if not space.is_flat:
@@ -231,9 +214,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     if "worst_quotient_margin" in summary:
         print(f"worst_quotient_margin {_fmt(summary['worst_quotient_margin'])}")
     if bad:
-        key = "seed" if label == "seed" else "r_tilde"
-        ident = bad[0][key] if label == "seed" else bad[0]["r_tilde"]
-        print(f"violation at {key}={ident}", file=sys.stderr)
+        print(f"violation at {label}={bad[0][label]}", file=sys.stderr)
         return 2
     return 0
 
@@ -296,8 +277,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _build_config(args)
-        return args.func(cfg)
+        if args.command == "verify" and args.jobs is None:
+            args.jobs = _jobs_from_env()
+        return args.func(PinchSpec.from_curvatures(_space_from(args), args.k1, args.k2), args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -265,6 +265,16 @@ class PinchSpec:
         return self.kappa1 == self.kappa2
 
 
+def space_mismatch(space: SpaceCurvature, pinch: PinchSpec) -> ValueError:
+    """The error for a space that is not the pinching's own.
+
+    Callers compare c alone: it fixes the geometry, and a float comparison
+    costs far less than the dataclass one.
+    """
+    return ValueError(f"the space is {space.kind} (c = {space.c}), "
+                      f"the pinching lies in {pinch.space.kind} space (c = {pinch.space.c})")
+
+
 # ---------------------------------------------------------------------------
 # Point-level operations in the embedded models.
 

@@ -35,6 +35,7 @@ from .geometry import (
     geodesic_toward,
     law_of_cosines_side,
     origin,
+    space_mismatch,
     tangent_inner,
 )
 
@@ -50,6 +51,8 @@ class SpindleSpec:
     r_tilde: float
 
     def __post_init__(self):
+        if self.space.c != self.pinch.space.c:
+            raise space_mismatch(self.space, self.pinch)
         lo, hi = self.pinch.r2, self.pinch.r1
         slack = _END_SNAP * max(1.0, hi)
         if not lo - slack <= self.r_tilde <= hi + slack:  # NaN fails too

@@ -4,11 +4,13 @@ The shell of a body is centered at its inscribed-ball (Chebyshev) center.
 Flat support-function bodies are solved as stacks by `_flat`: the
 certified Chebyshev center (an exact LP on the 2048-direction grid, a
 contact Newton and a weak-duality certificate) and the Newton-polished
-circumscribed radius.  `inscribed_ball`, `circumscribed_from_center` and
-`check_bounds` run a single body as a stack of one; `verify_batch` checks
-the seeded random bodies as stacks of at most STACK_CAP, in at most one
-process per STACK_CAP seeds begun, and a body's record does not depend on
-the stack or the process it was checked in.
+circumscribed radius.  `check_bounds` runs a flat body as its stack of
+one through the same `_check_stack` as `verify_batch`, which checks the
+seeded random bodies as stacks of at most STACK_CAP, in at most one
+process per STACK_CAP seeds begun; a body's record does not depend on
+the stack or the process it was checked in.  `inscribed_ball` and
+`circumscribed_from_center` also run a flat body as a stack of one, the
+latter testing first that its center is interior.
 Rotationally symmetric bodies restrict the center to the rotation axis,
 where the maximum lies at the foot of an arc center (closed form) or
 where two arcs' distance branches cross (Brent's bracketed root finder).
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import json
 import math
-import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -40,7 +41,6 @@ from .bodies import (
     angle_grid,
     curvature_range,
     random_pinched_stack,
-    rho_range,
     unit_vectors,
 )
 from .bounds import outer_radius_bound, quotient_bound, width_bound
@@ -180,13 +180,6 @@ def _inscribed_revolution(body: RevolutionBody):
     return pts[i], float(g[i])
 
 
-# each flat body's certified inscribed (center, r), keyed weakly by the
-# body: that center is interior, so circumscribed_from_center need not
-# scan the body's gap minima again for it (the fact cannot go stale, as
-# bodies are not changed in place)
-_BALLS = weakref.WeakKeyDictionary()
-
-
 def inscribed_ball(body):
     """Center and radius of the largest ball inside the body.
 
@@ -199,7 +192,6 @@ def inscribed_ball(body):
     if isinstance(body, RevolutionBody):
         return _inscribed_revolution(body)
     o, r, _ = _inscribed_support(body.stack)
-    _BALLS[body] = (o[0], r[0])
     return o[0], float(r[0])
 
 
@@ -207,8 +199,7 @@ def circumscribed_from_center(body, center):
     """Largest geodesic distance from center to the boundary.
 
     The center must be interior: a flat body tests it by its support gap
-    minima, unless it is the body's certified inscribed center with r >
-    0.  Support bodies scan the boundary over the direction grid and
+    minima.  Support bodies scan the boundary over the direction grid and
     Newton-polish the top local maxima (`_circumscribed`, as a stack of
     one); revolution bodies use the per-arc closed form.
     """
@@ -219,9 +210,7 @@ def circumscribed_from_center(body, center):
         return float(hi)
     o = np.asarray(center, float)[None]
     stack = body.stack
-    ball = _BALLS.get(body)
-    certified = ball is not None and ball[1] > 0.0 and np.array_equal(ball[0], o[0])
-    if not certified and _support_gap_minima(stack, o)[0][0] <= 0.0:
+    if _support_gap_minima(stack, o)[0][0] <= 0.0:
         raise ValueError("center must be interior to the body")
     return float(_circumscribed(stack, o)[0])
 
@@ -237,7 +226,7 @@ def _pinch_precondition(body, pinch: PinchSpec):
     bad = np.flatnonzero((kmin < pinch.kappa1 - tol) | (kmax > pinch.kappa2 + tol))
     if bad.size:
         k = bad[0]
-        lo, hi, lo_t, hi_t = (np.atleast_1d(v)[k] for v in rho_range(body))
+        lo, hi, lo_t, hi_t = (np.atleast_1d(v)[k] for v in body.rho_range())
         raise _BodyError(k, (
             "body violates the curvature pinching: "
             f"normal curvature range [{kmin[k]:.12g}, {kmax[k]:.12g}] vs "
@@ -280,11 +269,16 @@ def _shells(pinch: PinchSpec, centers, inner, outer) -> list:
 
 
 def check_bounds(body, pinch: PinchSpec) -> ShellResult:
-    """Compute the body's shell at the inscribed center and compare to the bounds."""
+    """Compute the body's shell at the inscribed center and compare to the bounds.
+
+    A flat body is checked as its stack of one (`_check_stack`).
+    """
     space = pinch.space
     if body.space != space:
         raise ValueError(f"the body lies in {body.space.kind} space (c = {body.space.c}), "
                          f"the pinching in {space.kind} space (c = {space.c})")
+    if not isinstance(body, RevolutionBody):
+        return _check_stack(body.stack, pinch)[0]
     _pinch_precondition(body, pinch)
     center, r = inscribed_ball(body)
     big_r = circumscribed_from_center(body, center)
@@ -292,9 +286,10 @@ def check_bounds(body, pinch: PinchSpec) -> ShellResult:
 
 
 def _check_stack(stack, pinch: PinchSpec) -> list:
-    """`check_bounds` for every body of a stack of flat bodies.
+    """The ShellResults of the bodies of a stack of flat bodies.
 
-    The certified center of r > 0 goes straight to the circumscribed scan.
+    The certified center of r > 0 is interior, so it goes straight to the
+    circumscribed scan.
     """
     _pinch_precondition(stack, pinch)
     centers, inner, _ = _inscribed_support(stack)

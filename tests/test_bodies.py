@@ -16,7 +16,6 @@ from curvshell.bodies import (
     closure_residual,
     curvature_range,
     random_pinched_curve,
-    rho_range,
     spindle_support_curve,
     unit_vectors,
 )
@@ -205,7 +204,7 @@ class TestGenerator:
         # the rescaling pushes one rho extremum onto the margin inside the band
         for seed in range(20):
             body = random_pinched_curve(PINCH_12, seed=seed)
-            lo, hi, _, _ = rho_range(body)
+            lo, hi, _, _ = body.rho_range()
             assert lo >= 0.5 + PINCH_MARGIN - 1e-12
             assert hi <= 1.0 - PINCH_MARGIN + 1e-12
             touches_low = abs(lo - (0.5 + PINCH_MARGIN)) < 1e-9

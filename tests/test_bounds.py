@@ -18,6 +18,7 @@ from curvshell.bounds import (
     width_profile,
 )
 from curvshell.geometry import PinchSpec, SpaceCurvature
+from curvshell.spindle import SpindleSpec, spindle_radii
 
 from conftest import FLAT, HYPER, SPACES, SPHERE, random_pinch, rng_for
 
@@ -325,3 +326,45 @@ class TestStability:
         eps = 1e-6
         q = quotient_bound(pinch(FLAT, 1.0, 1.0 + eps)).bound
         assert abs((q - 1.0) / eps - c_const) / c_const < 1e-4
+
+
+class TestSpaceMismatch:
+    def test_mismatched_space_raises(self):
+        # the flat bound read 0.06904 where a spherical space argument gave 0.06931
+        flat_23, sphere_12 = pinch(FLAT, 2.0, 3.0), pinch(SPHERE, 1.0, 2.0)
+        with pytest.raises(ValueError, match="spherical .* flat space"):
+            width_bound(SpaceCurvature.spherical(1.0), flat_23)
+        with pytest.raises(ValueError, match="flat .* spherical space"):
+            width_bound(FLAT, sphere_12)
+        with pytest.raises(ValueError, match="flat .* spherical space"):
+            outer_radius_bound(FLAT, sphere_12, 0.6)
+        with pytest.raises(ValueError, match="hyperbolic .* spherical space"):
+            width_profile(HYPER, sphere_12, 0.6)
+        with pytest.raises(ValueError, match="flat .* spherical space"):
+            SpindleSpec(FLAT, sphere_12, 0.7)
+
+    # float.hex of (width bound, its maximizer, outer bound, width profile,
+    # spindle r and R) at r = (r1 + r2) / 2, as computed before the space check
+    MATCHED = {
+        ("flat", 2.0, 3.0): ("0x1.1ac5111534a23p-4", "0x1.8752088804166p-2",
+                             "0x1.e9228f81d6ee3p-2", "0x1.f3bf26b9621c8p-5",
+                             "0x1.aaaaaaaaaaaaap-2", "0x1.e9228f81d6ee3p-2"),
+        ("spherical", 1.0, 2.0): ("0x1.150df3cf96e10p-3", "0x1.1d1fb83db579ep-1",
+                                  "0x1.7cad57c288eacp-1", "0x1.e75f085704a60p-4",
+                                  "0x1.3fc176b7a8560p-1", "0x1.7cad57c288eacp-1"),
+        ("hyperbolic", 2.0, 3.0): ("0x1.55f7549d6b6a0p-4", "0x1.9ff1d50ef492ep-2",
+                                   "0x1.0b2f67c6cc614p-1", "0x1.2eb83fabdb098p-4",
+                                   "0x1.cab0bfa2a2002p-2", "0x1.0b2f67c6cc614p-1"),
+    }
+
+    @pytest.mark.parametrize("key", list(MATCHED))
+    def test_matching_space_values_unchanged(self, key):
+        kind, k1, k2 = key
+        p = pinch({"flat": FLAT, "spherical": SPHERE, "hyperbolic": HYPER}[kind], k1, k2)
+        # an equal space built anew, not the pinching's own object
+        space = SpaceCurvature.flat() if kind == "flat" else getattr(SpaceCurvature, kind)(1.0)
+        r = 0.5 * (p.r1 + p.r2)
+        wb = width_bound(space, p)
+        got = (wb.bound, wb.maximizer_r, outer_radius_bound(space, p, r),
+               width_profile(space, p, r), *spindle_radii(SpindleSpec(space, p, r)))
+        assert tuple(v.hex() for v in got) == self.MATCHED[key]

@@ -1,0 +1,65 @@
+"""The package namespace: what README, the demos and the benchmark reach through it."""
+
+import ast
+import importlib.util
+import re
+from pathlib import Path
+
+import curvshell
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_blocks():
+    return re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+
+
+def _sources():
+    """(label, source) of every script that imports curvshell outside src/ and tests/."""
+    for i, block in enumerate(_readme_blocks()):
+        yield f"README.md python block {i}", block
+    for path in sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
+        yield str(path.relative_to(ROOT)), path.read_text()
+    # the script that test_runtime_deps runs in a fresh interpreter
+    tree = ast.parse((ROOT / "tests" / "test_runtime_deps.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SCRIPT"]:
+            yield "tests/test_runtime_deps.py SCRIPT", node.value.value
+
+
+def _package_names(source):
+    """Names read through the package: `from curvshell import X`, and `cs.X` for its alias cs."""
+    tree = ast.parse(source)
+    aliases, names = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "curvshell" and not node.level:
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            aliases |= {a.asname or a.name for a in node.names if a.name == "curvshell"}
+    names += [node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in aliases]
+    return names
+
+
+def _is_submodule(name):
+    return importlib.util.find_spec(f"curvshell.{name}") is not None
+
+
+def test_scripts_use_only_exported_names():
+    exported = set(curvshell.__all__)
+    missing = [(label, name) for label, source in _sources()
+               for name in _package_names(source)
+               if name not in exported and not _is_submodule(name)]
+    assert not missing
+
+
+def test_every_exported_name_resolves():
+    assert len(set(curvshell.__all__)) == len(curvshell.__all__)
+    for name in curvshell.__all__:
+        assert getattr(curvshell, name) is not None, name
+
+
+def test_readme_quickstart_runs():
+    (block,) = _readme_blocks()
+    exec(compile(block, "README.md", "exec"), {})

@@ -484,12 +484,26 @@ class TestCheckBounds:
         check_bounds(random_pinched_curve(PINCH_12, seed=0), PINCH_12)
         assert len(calls) == 1
 
+    def test_one_stack_per_flat_check(self, monkeypatch):
+        # a flat body's stack, and with it the 2048-direction grid, is built
+        # once for the precondition, the center and the circumscribed radius
+        body = random_pinched_curve(PINCH_12, seed=0)
+        built, init = [], TrigStack.__init__
+
+        def counting(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(TrigStack, "__init__", counting)
+        check_bounds(body, PINCH_12)
+        assert len(built) == 1
+
     def test_scale_relative_slack(self, monkeypatch):
         # the slack of the flags and the range test on r follow r1: with R
         # tripled, the body scaled by 1e-9 violates its bounds as the unit one does
-        circumscribed = verify.circumscribed_from_center
-        monkeypatch.setattr(verify, "circumscribed_from_center",
-                            lambda body, c: 3.0 * circumscribed(body, c))
+        circumscribed = verify._circumscribed
+        monkeypatch.setattr(verify, "_circumscribed",
+                            lambda stack, centers: 3.0 * circumscribed(stack, centers))
         for lam in (1.0, 1e-9):
             pinch = PinchSpec.from_curvatures(FLAT, 1.0 / lam, 2.0 / lam)
             res = check_bounds(random_pinched_curve(pinch, seed=0), pinch)
@@ -497,7 +511,8 @@ class TestCheckBounds:
 
     def test_non_finite_shell_raises(self, monkeypatch):
         # a failed solve must not read as a bound violation
-        monkeypatch.setattr(verify, "circumscribed_from_center", lambda body, c: math.inf)
+        monkeypatch.setattr(verify, "_circumscribed",
+                            lambda stack, centers: np.full(len(centers), math.inf))
         with pytest.raises(ValueError, match="non-finite"):
             check_bounds(random_pinched_curve(PINCH_12, seed=0), PINCH_12)
 
