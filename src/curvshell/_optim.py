@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 _ZOOM_N = 33  # samples per bracketed_min round: the bracket narrows 16-fold
-_ROOT_RTOL = 4.0 * float(np.finfo(float).eps)  # relative part of bracketed_root's tolerance
-_ROOT_MAXITER = 500  # a safety cap: a simple root takes about ten steps
 
 
 def local_extrema_mask(values: np.ndarray):
@@ -63,53 +59,3 @@ def bracketed_min(f, a: float, b: float, xtol: float):
         if b - a <= xtol or hi - lo >= b - a:
             return float(xs[i]), float(vals[i])
         a, b = lo, hi
-
-
-def bracketed_root(f, a: float, b: float, xtol: float) -> float:
-    """Root of f in [a, b] by Brent's method.
-
-    f(a) and f(b) must differ in sign.  Each step takes an inverse
-    quadratic or secant step when it lands well inside the bracket and
-    shrinks it fast enough, and bisects otherwise, so the bracket always
-    holds a sign change.  Stops when half the bracket is within
-    (xtol + _ROOT_RTOL |x|) / 2 of the iterate x, or f(x) == 0.
-    """
-    fa, fb = f(a), f(b)
-    if fa == 0.0 or fb == 0.0:
-        return a if fa == 0.0 else b
-    if (fa > 0.0) == (fb > 0.0):
-        raise ValueError("root not bracketed: f(a) and f(b) have the same sign")
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(_ROOT_MAXITER):
-        if (fb > 0.0) == (fc > 0.0):  # keep the sign change between b and c
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):  # b is the best iterate
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = 0.5 * (xtol + _ROOT_RTOL * abs(b))
-        m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0:
-            return b
-        if abs(e) >= tol and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * m * s, 1.0 - s
-            else:  # inverse quadratic interpolation
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        else:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = f(b)
-    raise ValueError(f"root not resolved after {_ROOT_MAXITER} steps")

@@ -5,9 +5,10 @@ point with outer normal (cos t, sin t) is h u + h' u_perp and the
 curvature radius is rho = h + h''.  Pinching kappa1 <= k_n <= kappa2 is
 equivalent to rho staying inside [1/kappa2, 1/kappa1].  Two concrete
 encodings are provided: a truncated trigonometric series for rho (the
-random generator's output) and the exact piecewise-trigonometric
-support function of a flat rounded spindle.  Rotationally symmetric
-bodies in the curved geometries are carried by their meridian profile.
+random generator's output) and the exact support function of a flat
+profile made of circular arcs, such as a flat rounded spindle.
+Rotationally symmetric bodies in the curved geometries are carried by
+their meridian profile.
 
 The flat solvers work on stacks.  A `TrigStack` holds K trigonometric
 bodies as coefficient arrays, with per-body grid values and per-point
@@ -39,7 +40,7 @@ import numpy as np
 
 from ._optim import local_extrema_mask, refine_critical_points
 from .geometry import PinchSpec, SpaceCurvature, curvature_from_sphere_radius
-from .spindle import ProfileCurve, SpindleSpec, build_spindle, spindle_geometry
+from .spindle import ProfileCurve, SpindleSpec, build_spindle
 
 GRID_N = 2048
 # highest harmonic of the random generator: more than two grid samples per
@@ -294,54 +295,48 @@ class TrigStack:
 
 
 class ArcSupportCurve(_SupportCurve):
-    """Exact support-function view of a flat rounded spindle.
+    """Exact support function of a flat convex profile made of circular arcs.
 
-    Piecewise: h = r1 - a sin t over the main spans, h = r2 +- d cos t over
-    the caps, with a = r1 - r_tilde, d the cap-center offset and the join
-    normal angle phi = atan2(a, d).  rho is r1 or r2 accordingly.
+    The arc of center c and radius r covers the normal angles of its span
+    (its polar angles plus the angle of its frame_u), and there h = <c, u>
+    + r, h' = <c, u_perp> and rho = r.  The arcs of a closed convex
+    profile cover the circle of normal angles once; one searchsorted over
+    their sorted starts finds the arc of each angle.
     """
 
-    def __init__(self, pinch: PinchSpec, r_tilde: float):
-        if not pinch.space.is_flat:
-            raise ValueError("spindle support curves are flat-geometry bodies")
-        spec = SpindleSpec(pinch.space, pinch, r_tilde)
-        geom = spindle_geometry(spec)
-        self.pinch = pinch
-        self.r_tilde = min(max(r_tilde, pinch.r2), pinch.r1)
-        self.a = pinch.r1 - self.r_tilde
-        self.d = geom.d_tilde
-        self.phi = math.atan2(self.a, self.d)
+    def __init__(self, profile: ProfileCurve):
+        if not profile.space.is_flat:
+            raise ValueError("arc support curves are flat-geometry bodies")
+        arcs = profile.segments
+        turns = [math.atan2(arc.frame_u[1], arc.frame_u[0]) for arc in arcs]
+        # normal angles of each arc's start and middle (where rho_range reports it)
+        starts, mids = np.mod([[arc.theta_start + w, arc.theta_start + 0.5 * arc.span + w]
+                               for arc, w in zip(arcs, turns)], 2.0 * math.pi).T
+        order = np.argsort(starts)
+        self.profile = profile
+        self._starts, self._mids = starts[order], mids[order]
+        self._centers = np.array([arcs[i].center for i in order])
+        self._radii = np.array([arcs[i].radius for i in order])
 
-    def _masks(self, thetas):
+    def _arcs(self, thetas):
+        """(t, k): the angles reduced to [0, 2 pi) and the index of each one's arc."""
         t = np.mod(np.asarray(thetas, float), 2.0 * math.pi)
-        right = (t <= self.phi) | (t >= 2.0 * math.pi - self.phi)
-        left = np.abs(t - math.pi) <= self.phi
-        upper = (t > self.phi) & (t < math.pi - self.phi)
-        lower = ~(right | left | upper)
-        return t, right, left, upper, lower
+        return t, (np.searchsorted(self._starts, t, side="right") - 1) % self._starts.size
 
     def h(self, thetas):
-        t, right, left, upper, lower = self._masks(thetas)
-        out = np.empty_like(t)
-        out[right] = self.pinch.r2 + self.d * np.cos(t[right])
-        out[left] = self.pinch.r2 - self.d * np.cos(t[left])
-        out[upper] = self.pinch.r1 - self.a * np.sin(t[upper])
-        out[lower] = self.pinch.r1 + self.a * np.sin(t[lower])
+        t, k = self._arcs(thetas)
+        c = self._centers[k]
+        out = c[..., 0] * np.cos(t) + c[..., 1] * np.sin(t) + self._radii[k]
         return out if out.ndim else float(out)
 
     def h_prime(self, thetas):
-        t, right, left, upper, lower = self._masks(thetas)
-        out = np.empty_like(t)
-        out[right] = -self.d * np.sin(t[right])
-        out[left] = self.d * np.sin(t[left])
-        out[upper] = -self.a * np.cos(t[upper])
-        out[lower] = self.a * np.cos(t[lower])
+        t, k = self._arcs(thetas)
+        c = self._centers[k]
+        out = c[..., 1] * np.cos(t) - c[..., 0] * np.sin(t)
         return out if out.ndim else float(out)
 
     def rho(self, thetas):
-        t, right, left, _, _ = self._masks(thetas)
-        out = np.full_like(t, self.pinch.r1)
-        out[right | left] = self.pinch.r2
+        out = self._radii[self._arcs(thetas)[1]]
         return out if out.ndim else float(out)
 
     def rho_prime(self, thetas):
@@ -350,8 +345,10 @@ class ArcSupportCurve(_SupportCurve):
         return out if out.ndim else float(out)
 
     def rho_range(self) -> tuple:
-        """(r2, r1) on the caps and the main arcs, at t = 0 and t = pi / 2."""
-        return self.pinch.r2, self.pinch.r1, 0.0, math.pi / 2.0
+        """(min, max, argmin, argmax): the extreme arc radii, at their arcs' middles."""
+        lo, hi = int(np.argmin(self._radii)), int(np.argmax(self._radii))
+        return (float(self._radii[lo]), float(self._radii[hi]),
+                float(self._mids[lo]), float(self._mids[hi]))
 
     # the evaluators of `TrigStack`, as a stack of one
     def __len__(self):
@@ -382,7 +379,7 @@ class ArcSupportCurve(_SupportCurve):
 
 def spindle_support_curve(pinch: PinchSpec, r_tilde: float) -> ArcSupportCurve:
     """Flat rounded spindle as a support-function body."""
-    return ArcSupportCurve(pinch, r_tilde)
+    return ArcSupportCurve(build_spindle(SpindleSpec(pinch.space, pinch, r_tilde)))
 
 
 class RevolutionBody:

@@ -175,7 +175,7 @@ def stability_quotient_constant() -> float:
 
 def stability_result(kappa: float, space: SpaceCurvature, epsilon: float = 0.0) -> StabilityResult:
     """Bundle of the stability constants for a given base curvature."""
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0.0 <= epsilon < math.inf:  # NaN fails too
+        raise ValueError(f"epsilon must be finite and nonnegative (got {epsilon})")
     quotient = stability_quotient_constant() if space.kind == FLAT else None
     return StabilityResult(stability_width_constant(kappa, space), quotient, epsilon)

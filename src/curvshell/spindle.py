@@ -62,16 +62,6 @@ class SpindleSpec:
 
 
 @dataclass(frozen=True)
-class SpindleGeometry:
-    """Derived scalar geometry of a spindle profile."""
-
-    R_tilde: float
-    d_tilde: float  # cap-center offset along the axis, R_tilde - r2
-    main_arc_center_offset: float  # distance from the symmetry center to a main-arc center
-    tangency_angle: float  # polar angle of the upper-right join seen from the center
-
-
-@dataclass(frozen=True)
 class Arc:
     """Constant-geodesic-curvature arc of a profile.
 
@@ -99,21 +89,6 @@ class ProfileCurve:
     space: SpaceCurvature
     segments: tuple
     symmetry_center: np.ndarray
-
-
-def spindle_geometry(spec: SpindleSpec) -> SpindleGeometry:
-    """Scalar construction data for the spindle with inscribed radius r_tilde."""
-    space, pinch, r_tilde = spec.space, spec.pinch, spec.r_tilde
-    r_tilde = min(max(r_tilde, pinch.r2), pinch.r1)
-    big_R = outer_radius_bound(space, pinch, r_tilde)
-    d_tilde = big_R - pinch.r2
-    a = pinch.r1 - r_tilde
-    if a <= 0.0 and d_tilde <= 0.0:
-        return SpindleGeometry(big_R, d_tilde, a, 0.0)
-    join = _upper_right_join(space, pinch, a, d_tilde)
-    o = origin(space)
-    _, e1, e2 = axis_point_frame(space, 0, 0.0)
-    return SpindleGeometry(big_R, d_tilde, a, angle_in_frame(space, o, e1, e2, join))
 
 
 def _upper_right_join(space: SpaceCurvature, pinch: PinchSpec, a: float, d_tilde: float) -> np.ndarray:

@@ -13,7 +13,7 @@ the stack or the process it was checked in.  `inscribed_ball` and
 latter testing first that its center is interior.
 Rotationally symmetric bodies restrict the center to the rotation axis,
 where the maximum lies at the foot of an arc center (closed form) or
-where two arcs' distance branches cross (Brent's bracketed root finder).
+where distance branches of arcs cross (a grid zoom along the axis chord).
 All 1-D searches come from `_optim`, so the module needs numpy alone.
 
 Evaluations of a trigonometric body's series on the fixed direction
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._flat import _BodyError, _circumscribed, _inscribed_support, _support_gap_minima
-from ._optim import bracketed_root
+from ._optim import bracketed_min
 from .bodies import (
     RevolutionBody,
     angle_grid,
@@ -96,9 +96,6 @@ class ShellResult:
 # ---------------------------------------------------------------------------
 # Rotationally symmetric bodies: the inscribed center on the rotation axis.
 
-_AXIS_GRID = 17  # chord samples that bracket a crossing of two contact branches
-
-
 def _axis_chord(profile: ProfileCurve):
     """(lo, hi): the positions on axis 0 where the profile crosses the axis.
 
@@ -134,9 +131,10 @@ def _inscribed_revolution(body: RevolutionBody):
     maximum of g on the chord inside the body, where g has a single
     maximum, sits at such a foot or where two branches cross.  The feet
     are scored first, in one kernel call; the best one is the maximum when
-    its own arc touches there from inside its span.  Otherwise a chord
-    grid brackets the crossing next to the best sample, a root finder
-    solves it, and the candidates are scored again.
+    its own arc touches there from inside its span.  Otherwise the single
+    maximum is a crossing, and a grid zoom over the whole chord
+    (`bracketed_min`) returns its best sample, however many branches meet
+    near it.
     """
     space, profile = body.space, body.profile
     # beyond the chord the axis point is outside the body, where the distance
@@ -153,31 +151,12 @@ def _inscribed_revolution(body: RevolutionBody):
         if inner >= 0.0 and abs(g[i] - inner) <= tie:
             return pts[i], float(g[i])
 
-    # per-arc branches on a chord grid: the active arc changes across a crossing
-    ts = np.unique(np.concatenate([np.linspace(lo, hi, _AXIS_GRID), feet]))
-    arcs = [ProfileCurve(space, (arc,), profile.symmetry_center) for arc in profile.segments]
-
-    def branches(t):
-        return np.array([profile_extreme_dists(a, axis_points(space, t))[0] for a in arcs])
-
-    def gap(t, a, b):
-        v = branches(t)
-        return float(v[a] - v[b])
-
-    vals = branches(ts)
-    i = int(np.argmax(vals.min(axis=0)))
-    cands = [ts[i]]
-    for j in (i - 1, i):
-        if j < 0 or j + 1 >= ts.size:
-            continue
-        a, b = int(np.argmin(vals[:, j])), int(np.argmin(vals[:, j + 1]))
-        # mirror arcs give equal branches on the axis: no crossing between them
-        if vals[b, j] - vals[a, j] > tie and vals[a, j + 1] - vals[b, j + 1] > tie:
-            cands.append(bracketed_root(lambda t: gap(t, a, b), ts[j], ts[j + 1], xtol=tie))
-    pts = axis_points(space, cands)
-    g = profile_extreme_dists(profile, pts)[0]
-    i = int(np.argmax(g))
-    return pts[i], float(g[i])
+    # no foot is the maximum: zoom a grid on the chord, stopping a few ulps
+    # wide so that a maximum at t = 0 does not shrink the bracket to subnormals
+    xtol = 8.0 * float(np.finfo(float).eps) * max(abs(lo), abs(hi))
+    t, neg_g = bracketed_min(lambda t: -profile_extreme_dists(profile, axis_points(space, t))[0],
+                             lo, hi, xtol)
+    return axis_points(space, t), -neg_g
 
 
 def inscribed_ball(body):
@@ -186,8 +165,8 @@ def inscribed_ball(body):
     Flat support bodies solve the concave maximin over the plane as a
     stack of one, the radius certified by weak duality as
     `_inscribed_support` states; revolution bodies maximize along the
-    rotation axis over closed-form candidates: the feet of the arc
-    centers and the crossings of two arcs' distance branches.
+    rotation axis: at the foot of an arc center (closed form), or else
+    by a grid zoom along the chord inside the body.
     """
     if isinstance(body, RevolutionBody):
         return _inscribed_revolution(body)
@@ -268,15 +247,19 @@ def _shells(pinch: PinchSpec, centers, inner, outer) -> list:
     return out
 
 
+def _require_same_space(body, pinch: PinchSpec) -> None:
+    space = pinch.space
+    if body.space != space:
+        raise ValueError(f"the body lies in {body.space.kind} space (c = {body.space.c}), "
+                         f"the pinching in {space.kind} space (c = {space.c})")
+
+
 def check_bounds(body, pinch: PinchSpec) -> ShellResult:
     """Compute the body's shell at the inscribed center and compare to the bounds.
 
     A flat body is checked as its stack of one (`_check_stack`).
     """
-    space = pinch.space
-    if body.space != space:
-        raise ValueError(f"the body lies in {body.space.kind} space (c = {body.space.c}), "
-                         f"the pinching in {space.kind} space (c = {space.c})")
+    _require_same_space(body, pinch)
     if not isinstance(body, RevolutionBody):
         return _check_stack(body.stack, pinch)[0]
     _pinch_precondition(body, pinch)
@@ -307,7 +290,9 @@ def rolling_check(body, pinch: PinchSpec, samples: int = 100, probes: int = 512,
     """Sampled rolling test: the tangent ball of radius r2 fits inside, the
     body fits inside the tangent ball of radius r1, at each sampled
     boundary point.  Containment is probed on a grid of boundary points
-    (probes per ball), to tol * r1, so a scaled body keeps its verdict."""
+    (probes per ball), to tol * r1, so a scaled body keeps its verdict.
+    A body and a pinching of different geometries raise ValueError."""
+    _require_same_space(body, pinch)
     tol = tol * pinch.r1
     if isinstance(body, RevolutionBody):
         return _rolling_revolution(body, pinch, samples, tol)

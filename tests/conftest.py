@@ -59,3 +59,47 @@ def cut_lens_profile(big_r=1.0, a=0.5, xc=-0.2, rho=0.5):
             2.0 * math.pi - theta_p, u, v, 1.0 / big_r),
     )
     return ProfileCurve(space, arcs, axis_point_frame(space, 0, 0.0)[0]), t_star, e - t_star
+
+
+def disk_shell_profile(centers, rho, r2):
+    """Flat outer parallel body, at distance r2, of an intersection of disks of radius rho.
+
+    The intersection K is bounded by arcs of the disk circles between
+    vertices.  At distance r2 each such arc becomes a kappa1 arc of radius
+    r1 = rho + r2 about its disk center, over the same polar angles, and
+    each vertex a kappa2 cap of radius r2 about it, turning from the
+    normal of the arc before to the normal of the arc after.  The origin
+    must lie inside every disk; it is the profile's symmetry center.
+    """
+    c = np.asarray(centers, float)
+    verts = []  # (vertex, disk of the boundary arc leaving it counterclockwise)
+    for i in range(len(c)):
+        for j in range(i + 1, len(c)):
+            d = c[j] - c[i]
+            half = 0.5 * float(np.linalg.norm(d))
+            if not 0.0 < half < rho:
+                continue
+            off = math.sqrt(rho * rho - half * half) / (2.0 * half) * np.array([-d[1], d[0]])
+            others = np.delete(c, [i, j], axis=0)
+            for p in (0.5 * (c[i] + c[j]) + off, 0.5 * (c[i] + c[j]) - off):
+                if (np.linalg.norm(others - p, axis=1) > rho).any():
+                    continue
+                # circle i, run counterclockwise from p, enters disk j or leaves it
+                w = p - c[i]
+                leaving = i if (c[j] - p) @ np.array([-w[1], w[0]]) > 0.0 else j
+                verts.append((p, leaving))
+    verts.sort(key=lambda pv: math.atan2(pv[0][1], pv[0][0]))
+
+    def angle(p, q):
+        return math.atan2(p[1] - q[1], p[0] - q[0])
+
+    space = SpaceCurvature.flat()
+    _, u, v = axis_point_frame(space, 0, 0.0)
+    r1 = rho + r2
+    arcs = []
+    for (p, k), (q, k_next) in zip(verts, verts[1:] + verts[:1]):
+        a0 = angle(p, c[k])
+        a1 = a0 + (angle(q, c[k]) - a0) % (2.0 * math.pi)
+        b1 = a1 + (angle(q, c[k_next]) - a1) % (2.0 * math.pi)
+        arcs += [Arc(c[k], r1, a0, a1, u, v, 1.0 / r1), Arc(q, r2, a1, b1, u, v, 1.0 / r2)]
+    return ProfileCurve(space, tuple(arcs), np.zeros(2))

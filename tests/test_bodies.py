@@ -21,10 +21,10 @@ from curvshell.bodies import (
 )
 from curvshell.bounds import width_bound
 from curvshell.geometry import PinchSpec, SpaceCurvature
-from curvshell.spindle import SpindleSpec
+from curvshell.spindle import SpindleSpec, profile_extreme_dists
 from curvshell.verify import check_bounds, rolling_check
 
-from conftest import FLAT, HYPER, SPHERE, random_pinch, rng_for
+from conftest import FLAT, HYPER, SPHERE, disk_shell_profile, random_pinch, rng_for
 
 PINCH_12 = PinchSpec.from_curvatures(FLAT, 1.0, 2.0)
 
@@ -264,7 +264,7 @@ class TestArcSupportCurve:
     def test_support_is_c1(self):
         body = spindle_support_curve(PINCH_12, 0.7)
         eps = 1e-9
-        for t in (body.phi, math.pi - body.phi, math.pi + body.phi, -body.phi):
+        for t in (arc.theta_start for arc in body.profile.segments):  # the join normals
             assert abs(body.h(t + eps) - body.h(t - eps)) <= 1e-8
             assert abs(body.h_prime(t + eps) - body.h_prime(t - eps)) <= 1e-6
 
@@ -275,9 +275,20 @@ class TestArcSupportCurve:
         body = spindle_support_curve(PINCH_12, 1.0)
         assert_allclose(body.h(THETA_GRID), 1.0, atol=1e-12)
 
+    def test_any_arc_profile(self):
+        # the outer parallel body of a disk triangle: boundary points lie on
+        # the profile, and rho takes the arc radii
+        profile = disk_shell_profile([(0.3, 0.0), (-0.2, 0.4), (-0.2, -0.4)], 1.5, 0.5)
+        body = ArcSupportCurve(profile)
+        assert len(profile.segments) == 6
+        assert_allclose(profile_extreme_dists(profile, body.boundary(THETA_GRID))[0], 0.0,
+                        atol=1e-14)
+        assert set(body.rho(THETA_GRID)) == {0.5, 2.0}
+        assert body.rho_range()[:2] == (0.5, 2.0)
+
     def test_rejects_curved(self):
         with pytest.raises(ValueError, match="flat"):
-            ArcSupportCurve(PinchSpec.from_curvatures(SPHERE, 1.0, 2.0), 0.6)
+            spindle_support_curve(PinchSpec.from_curvatures(SPHERE, 1.0, 2.0), 0.6)
 
 
 class TestRevolutionBody:

@@ -295,8 +295,9 @@ class TestStability:
         r = stability_result(1.0, FLAT, 0.01)
         assert r.quotient_constant == SQRT2 - 1.0
         assert stability_result(1.0, SPHERE).quotient_constant is None
-        with pytest.raises(ValueError):
-            stability_result(1.0, FLAT, -1.0)
+        for eps in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                stability_result(1.0, FLAT, eps)
 
     def test_inadmissible(self):
         with pytest.raises(ValueError):

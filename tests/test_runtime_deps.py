@@ -11,7 +11,7 @@ import curvshell
 # One op of each path that once called scipy.optimize: the flat support-body
 # shell (circumscribed radius) with its rolling check, a curved spindle with
 # its scanned radii, and an on-axis inscribed ball found at a crossing of two
-# distance branches by the root finder.
+# distance branches by the chord zoom.
 SCRIPT = """
 import json, sys
 import curvshell as cs

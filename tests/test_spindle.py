@@ -29,7 +29,6 @@ from curvshell.spindle import (
     profile_extreme_dists,
     profile_length,
     sample_profile,
-    spindle_geometry,
     spindle_radii,
 )
 
@@ -73,11 +72,14 @@ class TestDegenerate:
 
 class TestFlatConstruction:
     def test_geometry_values(self):
-        g = spindle_geometry(spec(FLAT, 1.0, 2.0, 0.75))
-        assert_allclose(g.R_tilde, OUTER_075, rtol=1e-14)
-        assert_allclose(g.d_tilde, D_TILDE_075, rtol=1e-14)
-        assert_allclose(g.main_arc_center_offset, 0.25, rtol=1e-14)
-        assert_allclose(g.tangency_angle, TANGENCY_075, rtol=1e-12)
+        # arcs: right cap, upper main arc, left cap, lower main arc
+        right, upper, _, _ = build_spindle(spec(FLAT, 1.0, 2.0, 0.75)).segments
+        d_tilde = right.center[0]
+        join = arc_point(FLAT, right, right.theta_end)  # the upper-right join
+        assert_allclose(d_tilde + right.radius, OUTER_075, rtol=1e-14)
+        assert_allclose(d_tilde, D_TILDE_075, rtol=1e-14)
+        assert_allclose(-upper.center[1], 0.25, rtol=1e-14)
+        assert_allclose(math.atan2(join[1], join[0]), TANGENCY_075, rtol=1e-12)
 
     def test_four_segments_and_scan(self):
         prof = build_spindle(spec(FLAT, 1.0, 2.0, 0.75))
@@ -91,8 +93,8 @@ class TestFlatConstruction:
         for _ in range(40):
             p = random_pinch(FLAT, rng)
             r_t = rng.uniform(p.r2, p.r1)
-            g = spindle_geometry(SpindleSpec(FLAT, p, r_t))
-            lhs = (p.r1 - r_t) ** 2 + g.d_tilde**2
+            d_tilde = build_spindle(SpindleSpec(FLAT, p, r_t)).segments[0].center[0]
+            lhs = (p.r1 - r_t) ** 2 + d_tilde**2
             assert_allclose(lhs, (p.r1 - p.r2) ** 2, rtol=1e-12, atol=1e-12)
 
 

@@ -1,9 +1,17 @@
-"""The package namespace: what README, the demos and the benchmark reach through it."""
+"""The package namespace: what README, the demos and the benchmark reach through it.
+
+Also runs README's quickstart and every demo."""
 
 import ast
 import importlib.util
+import os
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import curvshell
 
@@ -63,3 +71,14 @@ def test_every_exported_name_resolves():
 def test_readme_quickstart_runs():
     (block,) = _readme_blocks()
     exec(compile(block, "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo, tmp_path):
+    # a copy writes its output/ next to itself, under tmp_path
+    script = shutil.copy(ROOT / "demos" / demo, tmp_path)
+    src = str(Path(curvshell.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, script], capture_output=True, text=True,
+                          cwd=tmp_path, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -11,6 +11,7 @@ import curvshell.verify as verify
 from curvshell import cli
 from curvshell.bodies import (
     THETA_GRID,
+    ArcSupportCurve,
     RevolutionBody,
     TrigStack,
     TrigSupportCurve,
@@ -25,11 +26,12 @@ from curvshell.geometry import (
     SpaceCurvature,
     axis_foot,
     axis_point_frame,
+    axis_points,
     curvature_from_sphere_radius,
     law_of_cosines_angle,
     origin,
 )
-from curvshell.spindle import Arc, ProfileCurve, SpindleSpec, spindle_radii
+from curvshell.spindle import Arc, ProfileCurve, SpindleSpec, profile_extreme_dists, spindle_radii
 from curvshell.verify import (
     check_bounds,
     circumscribed_from_center,
@@ -41,7 +43,16 @@ from curvshell.verify import (
 )
 from curvshell._flat import _inscribed_support, _maximin_lp, _support_gap_minima
 
-from conftest import FLAT, HYPER, SPACES, SPHERE, cut_lens_profile, random_pinch, rng_for
+from conftest import (
+    FLAT,
+    HYPER,
+    SPACES,
+    SPHERE,
+    cut_lens_profile,
+    disk_shell_profile,
+    random_pinch,
+    rng_for,
+)
 
 PINCH_12 = PinchSpec.from_curvatures(FLAT, 1.0, 2.0)
 GRID = THETA_GRID.size
@@ -368,18 +379,31 @@ class TestInscribedBall:
         assert abs(center[1]) <= 1e-15
 
     @pytest.mark.parametrize("shape", [(), (1.0, 0.4, -0.3, 0.55)])
-    def test_revolution_crossing_between_samples(self, monkeypatch, shape):
-        # The D-shaped meridians above cross at the middle of their chord,
-        # which the chord grid samples; the cut lens crosses between samples,
-        # so the bracketed root finder has to solve it.
+    def test_revolution_crossing_between_samples(self, shape):
+        # The D-shaped meridians above cross at the middle of their chord;
+        # the cut lens crosses off it.
         profile, t_star, r_star = cut_lens_profile(*shape)
-        calls, root = [], verify.bracketed_root
-        monkeypatch.setattr(verify, "bracketed_root",
-                            lambda *a, **kw: calls.append(a) or root(*a, **kw))
         center, got = inscribed_ball(RevolutionBody(profile))
-        assert calls
         assert_allclose(got, r_star, rtol=1e-14)
         assert_allclose(center, [t_star, 0.0], rtol=0, atol=1e-14)
+
+    def test_revolution_matches_dense_axis_scan(self):
+        # An outer parallel body of eight disks, whose axis maximum is a
+        # crossing of arc branches 0.066 from the nearest foot.
+        x1, y1 = -0.045882201602143166, 0.5426068279855909
+        x2, y2 = -0.5168879204197707, 0.5689120602029846
+        x3, y3 = -0.38816900449742153, 0.2520286488422248
+        centers = [(x1, y1), (x1, -y1), (x2, y2), (x2, -y2), (x3, y3), (x3, -y3),
+                   (-0.10952241191778089, 0.0), (-0.8602105669864988, 0.0)]
+        profile = disk_shell_profile(centers, 1.75, 0.25)
+        center, r = inscribed_ball(RevolutionBody(profile))
+        lo, hi = verify._axis_chord(profile)
+        scan = profile_extreme_dists(profile, axis_points(FLAT, np.linspace(lo, hi, 20001)))[0]
+        assert r >= scan.max() - 1e-12 * 2.0
+        assert profile_extreme_dists(profile, center)[0] == r
+        # the plane's maximin (the flat support view) agrees: the body is
+        # symmetric about the axis
+        assert_allclose(inscribed_ball(ArcSupportCurve(profile))[1], r, rtol=0, atol=1e-12 * 2.0)
 
     def test_revolution_hemisphere_edge(self):
         # kappa1 = 0 on the sphere: the big circle is a great circle
@@ -541,12 +565,15 @@ class TestCheckBounds:
         # the pinching's radii are to flat ones
         body = random_pinched_curve(PINCH_12, seed=0)
         near_flat = PinchSpec.from_curvatures(SpaceCurvature.spherical(1e-5), 1.0, 2.0)
-        with pytest.raises(ValueError, match="flat space .* spherical space"):
-            check_bounds(body, near_flat)
         sphere_12 = PinchSpec.from_curvatures(SPHERE, 1.0, 2.0)
         spindle = RevolutionBody.spindle(SpindleSpec(SPHERE, sphere_12, 0.6))
-        with pytest.raises(ValueError, match="spherical space .* flat space"):
-            check_bounds(spindle, PINCH_12)
+        for check in (check_bounds, rolling_check):
+            with pytest.raises(ValueError, match="flat space .* spherical space"):
+                check(body, near_flat)
+            with pytest.raises(ValueError, match="flat space .* spherical space"):
+                check(body, sphere_12)
+            with pytest.raises(ValueError, match="spherical space .* flat space"):
+                check(spindle, PINCH_12)
 
     @pytest.mark.parametrize("space", SPACES[1:])
     def test_revolution_lemma_inequality(self, space):
