@@ -413,13 +413,6 @@ def curvature_range(body) -> tuple:
             curvature_from_sphere_radius(body.space, lo))
 
 
-def closure_residual(body) -> float:
-    """Max |integral of rho * (cos, sin)| over the period; 0 for closed curves."""
-    vals = np.asarray(body.rho(THETA_GRID))
-    mom = (vals[:, None] * _U_GRID).sum(axis=0) * (2.0 * math.pi / GRID_N)
-    return float(np.abs(mom).max())
-
-
 def random_pinched_stack(pinch: PinchSpec, seeds, modes: int = 8) -> TrigStack:
     """Random convex curves, one per 64-bit seed, with curvature radius strictly inside [r2, r1].
 

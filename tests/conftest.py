@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from curvshell.bodies import GRID_N, THETA_GRID, ArcSupportCurve, unit_vectors
 from curvshell.geometry import PinchSpec, SpaceCurvature, axis_point_frame
 from curvshell.spindle import Arc, ProfileCurve
 
@@ -103,3 +104,23 @@ def disk_shell_profile(centers, rho, r2):
         b1 = a1 + (angle(q, c[k_next]) - a1) % (2.0 * math.pi)
         arcs += [Arc(c[k], r1, a0, a1, u, v, 1.0 / r1), Arc(q, r2, a1, b1, u, v, 1.0 / r2)]
     return ProfileCurve(space, tuple(arcs), np.zeros(2))
+
+
+def closure_residual(body) -> float:
+    """Max |integral of rho (cos, sin)| over the period; 0 for closed curves.
+
+    An arc body's integral is closed-form: r (sin b - sin a, cos a - cos b)
+    per arc over its normal angles [a, b] (polar angles plus the angle of
+    frame_u).  A trigonometric body takes the rectangle rule on the support
+    grid, which is exact for its modes.
+    """
+    if isinstance(body, ArcSupportCurve):
+        mom = np.zeros(2)
+        for arc in body.profile.segments:
+            a = arc.theta_start + math.atan2(arc.frame_u[1], arc.frame_u[0])
+            b = a + arc.span
+            mom += arc.radius * np.array([math.sin(b) - math.sin(a), math.cos(a) - math.cos(b)])
+    else:
+        vals = np.asarray(body.rho(THETA_GRID))
+        mom = (vals[:, None] * unit_vectors(THETA_GRID)).sum(axis=0) * (2.0 * math.pi / GRID_N)
+    return float(np.abs(mom).max())

@@ -13,7 +13,6 @@ from curvshell.bodies import (
     TrigSupportCurve,
     _mode_table,
     angle_grid,
-    closure_residual,
     curvature_range,
     random_pinched_curve,
     spindle_support_curve,
@@ -24,7 +23,15 @@ from curvshell.geometry import PinchSpec, SpaceCurvature
 from curvshell.spindle import SpindleSpec, profile_extreme_dists
 from curvshell.verify import check_bounds, rolling_check
 
-from conftest import FLAT, HYPER, SPHERE, disk_shell_profile, random_pinch, rng_for
+from conftest import (
+    FLAT,
+    HYPER,
+    SPHERE,
+    closure_residual,
+    disk_shell_profile,
+    random_pinch,
+    rng_for,
+)
 
 PINCH_12 = PinchSpec.from_curvatures(FLAT, 1.0, 2.0)
 
@@ -270,6 +277,9 @@ class TestArcSupportCurve:
 
     def test_closure(self):
         assert closure_residual(spindle_support_curve(PINCH_12, 0.8)) <= 1e-10
+        # an arc body without the spindle's symmetry: a grid rule reads 8.9e-3
+        body = ArcSupportCurve(disk_shell_profile([(0.3, 0), (-0.2, 0.4), (-0.2, -0.4)], 1.5, 0.5))
+        assert closure_residual(body) <= 1e-12
 
     def test_degenerate_circle(self):
         body = spindle_support_curve(PINCH_12, 1.0)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -619,7 +620,89 @@ def _rolling_3d_norm(body, pinch, samples=100, probes=512, tol=1e-9):
     return bool(d_out.max() <= pinch.r1 + tol)
 
 
+def _unblocked_extremes(body, pinch, samples, probes):
+    """(least support gap, largest squared distance) over one (samples, probes) array each."""
+    th = np.arange(samples) * (2.0 * math.pi / samples)
+    x, u = body.boundary(th), unit_vectors(th)
+    c_in, c_out = x - pinch.r2 * u, x - pinch.r1 * u
+    th_probe = np.arange(probes) * (2.0 * math.pi / probes)
+    x_probe = body.boundary(th_probe)
+    gap = body.h(th_probe)[None, :] - c_in @ unit_vectors(th_probe).T
+    dx = x_probe[None, :, 0] - c_out[:, None, 0]
+    dy = x_probe[None, :, 1] - c_out[:, None, 1]
+    return float(gap.min()), float((dx * dx + dy * dy).max())
+
+
 class TestRolling:
+    @pytest.mark.parametrize("probes", [1, 7, 512, 4096])
+    @pytest.mark.parametrize("samples", [1, 23, 24, 25, 100, 1000])
+    def test_blocks_match_the_unblocked_check(self, samples, probes, monkeypatch):
+        # blocks of 24 samples at 512 probes and of 3 at 4096; 23 samples fit
+        # one block, 25 leave one row over.  Every sample is in a block of
+        # at most 96 KiB per temporary and of two rows or more: a one-row
+        # product rounds the spindle's least gap at 25 x 4096 differently.
+        # The block extremes combine to the unblocked ones bit for bit, and
+        # the verdicts are the norm test's
+        rows, blocks, block_fn = [], [], verify._rolling_block
+
+        def spy(h_probe, u_rows, px, py, c_in, c_out):
+            rows.append(len(c_in))
+            blocks.append(block_fn(h_probe, u_rows, px, py, c_in, c_out))
+            return blocks[-1]
+
+        monkeypatch.setattr(verify, "_rolling_block", spy)
+        cases = [(PINCH_12, spindle_support_curve(PINCH_12, 0.8125))]
+        for k2 in (1.1, 5.0):
+            pinch = PinchSpec.from_curvatures(FLAT, 1.0, k2)
+            cases.append((pinch, random_pinched_curve(pinch, seed=int(10 * k2))))
+        for pinch, body in cases:
+            tighter = PinchSpec.from_curvatures(FLAT, pinch.kappa1 * 1.01, pinch.kappa2 / 1.01)
+            for p in (pinch, tighter):
+                rows.clear()
+                blocks.clear()
+                verdict = rolling_check(body, p, samples, probes)
+                assert verdict is _rolling_3d_norm(body, p, samples, probes)
+                gaps, d2s = np.array(blocks).T
+                assert (gaps.min(), d2s.max()) == _unblocked_extremes(body, p, samples, probes)
+                assert sum(rows) >= samples and min(rows) >= min(samples, 2)
+                assert max(rows) * probes <= 12288
+
+    @pytest.mark.parametrize("probes", [512, 4096])
+    def test_traced_peak(self, probes):
+        # the unblocked check traced 2028 KiB at the default grids (five
+        # (100, 512) arrays); blocks keep every temporary under 96 KiB.  The
+        # flat spindle evaluates 4096 probes cheaply, a trigonometric body
+        # builds its mode table for them, so the spindle runs there
+        bodies = [spindle_support_curve(PINCH_12, 0.75)]
+        if probes == 512:
+            bodies.append(random_pinched_curve(PINCH_12, seed=3))
+        for body in bodies:
+            rolling_check(body, PINCH_12, probes=probes)  # shared tables built
+            tracing = tracemalloc.is_tracing()
+            if not tracing:
+                tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                assert rolling_check(body, PINCH_12, probes=probes)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+            assert peak < 640 * 1024, (type(body).__name__, peak)
+
+    @pytest.mark.parametrize("name,kwargs", [
+        ("samples", {"samples": 0}), ("samples", {"samples": -3}),
+        ("probes", {"probes": 0}), ("probes", {"probes": -3}),
+    ])
+    def test_rejects_empty_grids(self, name, kwargs):
+        flat = random_pinched_curve(PINCH_12, seed=0)
+        p = PinchSpec.from_curvatures(SPHERE, 1.0, 2.0)
+        curved = RevolutionBody.spindle(SpindleSpec(SPHERE, p, width_bound(SPHERE, p).maximizer_r))
+        for body, pinch in ((flat, PINCH_12), (curved, p)):
+            with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+                rolling_check(body, pinch, **kwargs)
+
     def test_squared_distances_match_the_norm(self):
         # the acceptance corpus's pinches and criterion 9's flat spindles, as
         # given, 1% tighter on both sides (every verdict flips) and 1% tighter
