@@ -1,8 +1,10 @@
 """Shell radii of stacks of flat support-function bodies.
 
 A stack holds K bodies (`bodies.TrigStack`, or an `ArcSupportCurve` as a
-stack of one) and every stage runs on all of them at once.  The
-inscribed-ball (Chebyshev) center solves the concave maximin
+stack of one) and every stage runs on all of them at once; an arc body
+takes only its center from here.  The support grid THETA_GRID is
+defined here, with the solvers it serves.  The inscribed-ball
+(Chebyshev) center solves the concave maximin
 
     maximize over o of  min over t of  h(t) - <o, u(t)>,
 
@@ -34,7 +36,20 @@ import math
 import numpy as np
 
 from ._optim import local_extrema_mask, refine_critical_points
-from .bodies import _COS, _SIN, _U_GRID, GRID_N, THETA_GRID
+
+GRID_N = 2048  # support directions of the grid scans and the LP
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+THETA_GRID = _read_only(np.arange(GRID_N) * (2.0 * math.pi / GRID_N))[0]
+# cos t, sin t and the unit normals on THETA_GRID
+_COS, _SIN = _read_only(np.cos(THETA_GRID), np.sin(THETA_GRID))
+_U_GRID = _read_only(np.stack([_COS, _SIN], axis=-1))[0]
 
 
 class _BodyError(ValueError):

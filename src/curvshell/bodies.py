@@ -10,17 +10,18 @@ profile made of circular arcs, such as a flat rounded spindle.
 Rotationally symmetric bodies in the curved geometries are carried by
 their meridian profile.
 
-The flat solvers work on stacks.  A `TrigStack` holds K trigonometric
-bodies as coefficient arrays, with per-body grid values and per-point
-jets; `random_pinched_stack` generates one from K seeds, and each flat
-body (`TrigSupportCurve.stack`, or `ArcSupportCurve` itself) is a stack
-of one.  Every product is per body or per point, so a body's values do
-not depend on the stack it is in.  A `TrigSupportCurve` evaluates with
-the same coefficient block (`_coef_blocks`) and trigonometric vector, so
-its h, h' and rho on THETA_GRID equal its stack's `grid` bit for bit.
-Every body type, and a `TrigStack`, answers `rho_range()`: the extremes
-of its curvature radius, which `curvature_range` turns into the extremes
-of its normal curvature.
+Every body answers its shell as a stack.  A `TrigStack` holds K
+trigonometric bodies as coefficient arrays, with per-body grid values
+and per-point jets; `random_pinched_stack` generates one from K seeds,
+`TrigSupportCurve.stack` is a stack of one, and an arc body is its own.
+Every product is per body or per point, so a body's values do not depend
+on the stack it is in.  A `TrigSupportCurve` evaluates with the same
+coefficient block (`_coef_blocks`) and trigonometric vector, so its h,
+h' and rho on THETA_GRID equal its stack's `grid` bit for bit.  A stack
+answers `rho_range()` (which `curvature_range` reads), `inscribed()`,
+`outer_radius(centers)` and `depth(centers)`, the signed distance to the
+boundary: a `TrigStack` with the `_flat` solvers, an arc body from its
+profile in closed form but for an `ArcSupportCurve`'s center, the LP's.
 
 The fixed direction grids (THETA_GRID, and `angle_grid`'s arrays for the
 rolling check's default sample and probe counts) are shared read-only
@@ -28,7 +29,8 @@ arrays.  Evaluating a body on one of them reads cos(m t) and sin(m t)
 from a per-process table keyed by the grid and the mode count instead of
 recomputing them; the tables hold the same values, so results are
 bit-identical to an evaluation on a copy of the grid.  Any other angle
-array is evaluated directly, so the tables never grow with query sizes.
+array is evaluated directly, in blocks of rows (`_row_blocks`), so
+neither the tables nor a temporary grow with query sizes.
 """
 
 from __future__ import annotations
@@ -38,11 +40,12 @@ import math
 
 import numpy as np
 
+from . import _flat
+from ._flat import GRID_N, THETA_GRID, _read_only
 from ._optim import local_extrema_mask, refine_critical_points
 from .geometry import PinchSpec, SpaceCurvature, curvature_from_sphere_radius
-from .spindle import ProfileCurve, SpindleSpec, build_spindle
+from .spindle import _ProfileBody, ProfileCurve, SpindleSpec, _inscribed_revolution, build_spindle
 
-GRID_N = 2048
 # highest harmonic of the random generator: more than two grid samples per
 # period of the top mode, and mode tables of at most 2048 x 2050 floats
 MAX_MODES = GRID_N // 2 - 1
@@ -50,20 +53,13 @@ MAX_MODES = GRID_N // 2 - 1
 PINCH_MARGIN = 1e-6  # generated curvature radii keep PINCH_MARGIN * r1 from the band edges
 
 
-def _read_only(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 def _even_angles(n):
     return np.arange(n) * (2.0 * math.pi / n)
 
 
 # the support grid, and rolling_check's default sample and probe grids
-_SHARED_GRIDS = {n: _even_angles(n) for n in (GRID_N, 100, 512)}
+_SHARED_GRIDS = {GRID_N: THETA_GRID, 100: _even_angles(100), 512: _even_angles(512)}
 _read_only(*_SHARED_GRIDS.values())
-THETA_GRID = _SHARED_GRIDS[GRID_N]
 
 
 def _shared(thetas) -> bool:
@@ -82,6 +78,23 @@ def _mode_table(n, modes):
     return _read_only(_trig_vector(_SHARED_GRIDS[n], modes))[0]
 
 
+_BLOCK_FLOATS = 12288  # float64 per temporary of a blocked evaluation: 96 KiB
+
+
+def _row_blocks(n, width, group=1):
+    """Slices that cover range(n) in blocks of rows, each row width floats.
+
+    A block holds a multiple of group rows, two at least, and one row less
+    than the _BLOCK_FLOATS budget allows.  numpy multiplies a lone row by
+    another path than a matrix of rows, which rounds differently, so a
+    last row that would be left alone joins the block before it, in the
+    row kept spare.
+    """
+    rows = max(2, group, (_BLOCK_FLOATS // max(width, 1) - 1) // group * group)
+    starts = range(0, max(n - 1, 1), rows)  # no block starts at the last row
+    return [slice(lo, lo + rows if lo + rows < n - 1 else n) for lo in starts]
+
+
 def angle_grid(n):
     """n evenly spaced angles on [0, 2 pi): the shared read-only grid when there is one."""
     grid = _SHARED_GRIDS.get(n)
@@ -91,11 +104,6 @@ def angle_grid(n):
 def unit_vectors(thetas):
     thetas = np.asarray(thetas, float)
     return np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
-
-
-# cos t, sin t and the unit normals on THETA_GRID
-_COS, _SIN = _read_only(np.cos(THETA_GRID), np.sin(THETA_GRID))
-_U_GRID = _read_only(np.stack([_COS, _SIN], axis=-1))[0]
 
 
 def _coef_blocks(h0, rho_cos, rho_sin, translation):
@@ -154,9 +162,20 @@ class TrigSupportCurve(_SupportCurve):
     def _series(self, thetas, col):
         """Column col of the coefficient block (h, h', rho, rho', rho'') at thetas."""
         thetas = np.asarray(thetas, float)
-        modes = self.rho_cos.size
-        trig = _mode_table(thetas.size, modes) if _shared(thetas) else _trig_vector(thetas, modes)
-        return trig @ self._coef[:, col]
+        modes, coef = self.rho_cos.size, self._coef[:, col]
+        if _shared(thetas):
+            return _mode_table(thetas.size, modes) @ coef
+        if not thetas.ndim:
+            return _trig_vector(thetas, modes) @ coef
+        # other angles in blocks along the first axis, so that no table of the
+        # query's size is built.  OpenBLAS's matrix-vector product rounds rows
+        # in groups of 4 by one path and the rest by another: blocks of a
+        # multiple of 4 rows keep each row's path, and its value bit for bit
+        # wherever the unblocked product ran on one thread
+        out = np.empty(thetas.shape)
+        for b in _row_blocks(len(thetas), coef.size * math.prod(thetas.shape[1:]), group=4):
+            out[b] = _trig_vector(thetas[b], modes) @ coef
+        return out
 
     def h(self, thetas):
         """Support values (distance from the origin to the tangent line)."""
@@ -293,8 +312,20 @@ class TrigStack:
         lo, lo_t, hi, hi_t = out
         return lo, hi, lo_t, hi_t
 
+    def inscribed(self):
+        """(centers, r): the certified Chebyshev center and radius of each body."""
+        return _flat._inscribed_support(self)[:2]
 
-class ArcSupportCurve(_SupportCurve):
+    def outer_radius(self, centers):
+        """Largest distance from each body's center to its boundary: grid scan and polish."""
+        return _flat._circumscribed(self, centers)
+
+    def depth(self, centers):
+        """Signed distance from each body's center to its boundary, > 0 inside: the least gap."""
+        return _flat._support_gap_minima(self, centers)[0]
+
+
+class ArcSupportCurve(_SupportCurve, _ProfileBody):
     """Exact support function of a flat convex profile made of circular arcs.
 
     The arc of center c and radius r covers the normal angles of its span
@@ -350,14 +381,11 @@ class ArcSupportCurve(_SupportCurve):
         return (float(self._radii[lo]), float(self._radii[hi]),
                 float(self._mids[lo]), float(self._mids[hi]))
 
-    # the evaluators of `TrigStack`, as a stack of one
-    def __len__(self):
-        return 1
+    def inscribed(self):
+        """(centers, r) of the certified support-LP center, as a stack of one."""
+        return _flat._inscribed_support(self)[:2]
 
-    @property
-    def stack(self) -> "ArcSupportCurve":
-        return self
-
+    # the evaluators of `TrigStack` that the center's solver reads
     @functools.cached_property
     def grid(self) -> np.ndarray:
         return np.stack([self.h(THETA_GRID), self.h_prime(THETA_GRID),
@@ -371,8 +399,7 @@ class ArcSupportCurve(_SupportCurve):
                 cos_t, sin_t = np.cos(t), np.sin(t)
                 h = h - (cos_t * o[:, 0] + sin_t * o[:, 1])
                 hp = hp + (sin_t * o[:, 0] - cos_t * o[:, 1])
-            zero = np.zeros_like(rho)
-            return np.stack([h, hp, rho, zero, zero])
+            return np.stack([h, hp, rho])
 
         return at
 
@@ -382,7 +409,7 @@ def spindle_support_curve(pinch: PinchSpec, r_tilde: float) -> ArcSupportCurve:
     return ArcSupportCurve(build_spindle(SpindleSpec(pinch.space, pinch, r_tilde)))
 
 
-class RevolutionBody:
+class RevolutionBody(_ProfileBody):
     """Rotationally symmetric body given by its meridian profile.
 
     Only the meridian is stored; the rotation axis is the construction
@@ -402,6 +429,11 @@ class RevolutionBody:
         """(min, max, nan, nan): the arc radii; a meridian has no normal-angle parameter."""
         radii = [seg.radius for seg in self.profile.segments]
         return min(radii), max(radii), math.nan, math.nan
+
+    def inscribed(self):
+        """(centers, r) of the largest ball centered on the rotation axis, as a stack of one."""
+        center, r = _inscribed_revolution(self.profile)
+        return center[None], np.array([r])
 
 
 def curvature_range(body) -> tuple:

@@ -271,8 +271,8 @@ def space_mismatch(space: SpaceCurvature, pinch: PinchSpec) -> ValueError:
     Callers compare c alone: it fixes the geometry, and a float comparison
     costs far less than the dataclass one.
     """
-    return ValueError(f"the space is {space.kind} (c = {space.c}), "
-                      f"the pinching lies in {pinch.space.kind} space (c = {pinch.space.c})")
+    return ValueError(f"mixed geometries: {space.kind} space (c = {space.c}) and a pinching "
+                      f"in {pinch.space.kind} space (c = {pinch.space.c})")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ The construction is driven by one parameter, the inscribed radius
 r_tilde in [r2, r1].  The cap-center offset d comes from the right
 geodesic triangle with legs (r1 - r_tilde) and d and hypotenuse
 (r1 - r2); its hypotenuse relation is exactly the outer-radius bound,
-so the built profile attains that bound by construction.
+so the built profile attains that bound by construction.  Any arc profile
+also gives here the distances from points to it and the shell of its body.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from .geometry import (
     PinchSpec,
     SpaceCurvature,
     angle_in_frame,
+    axis_foot,
     axis_point_frame,
+    axis_points,
     circle_circumference_factor,
     circle_point,
     circle_tangent,
@@ -250,15 +253,15 @@ def _ang_sep(x, y):
     return np.minimum(d, 2.0 * math.pi - d)
 
 
-def profile_extreme_dists(profile: ProfileCurve, points):
-    """(min, max) geodesic distance from meridian-plane points to the profile.
+def _arc_dists(profile: ProfileCurve, points):
+    """Per arc: the (nearest, farthest) distances (arcs, 2, ...) from points (..., dim),
+    and whether each point is farther from the arc's center than its radius (arcs, ...).
 
-    points has shape (..., dim); both results have shape (...).  Over one
-    arc the distance grows with the central angle away from the direction
-    of the query point, so its extremes sit at the nearest and farthest
-    angles clamped to the arc's span and the law of cosines gives them in
-    closed form.  A point within 1e-14 of an arc's center is at the arc's
-    radius from all of it.
+    Over one arc the distance grows with the central angle away from the
+    direction of the query point, so its extremes sit at the nearest and
+    farthest angles clamped to the arc's span and the law of cosines gives
+    them in closed form.  A point within 1e-14 of an arc's center is at the
+    arc's radius from all of it.
     """
     space = profile.space
     pts = np.asarray(points, float)
@@ -280,7 +283,107 @@ def profile_extreme_dists(profile: ProfileCurve, points):
         (-1,) + (1,) * (delta.ndim - 1))
     dists = np.where(delta < 1e-14, radius,
                      law_of_cosines_side(space, delta, radius, np.array(gammas)))
+    return dists, delta[:, 0] > radius[:, 0]
+
+
+def profile_extreme_dists(profile: ProfileCurve, points):
+    """(min, max) geodesic distance from meridian-plane points (..., dim) to the profile.
+
+    Both results have shape (...); each arc gives its extremes in closed form.
+    """
+    dists = _arc_dists(profile, points)[0]
     return dists[:, 0].min(axis=0), dists[:, 1].max(axis=0)
+
+
+class _ProfileBody:
+    """A body bounded by its `profile`, and its own stack of one: closed-form shell answers."""
+
+    def __len__(self):
+        return 1
+
+    @property
+    def stack(self):
+        return self
+
+    def outer_radius(self, centers):
+        """Largest distance from each center (one row) to the boundary."""
+        return profile_extreme_dists(self.profile, centers)[1]
+
+    def depth(self, centers):
+        """Signed distance from each center (one row) to the boundary, > 0 inside.
+
+        The size is the least distance to the profile; the nearest arc gives
+        the sign.  Seen from its nearest boundary point, an exterior point
+        lies outward along the normal and the arc's center inward, so it is
+        farther from that center than the radius.  At a corner both arcs agree.
+        """
+        dists, beyond = _arc_dists(self.profile, centers)
+        near = dists[:, 0].argmin(axis=0)[None]
+        lo = np.take_along_axis(dists[:, 0], near, axis=0)[0]
+        return np.where(np.take_along_axis(beyond, near, axis=0)[0], -lo, lo)
+
+
+def _axis_chord(profile: ProfileCurve):
+    """(lo, hi): the positions on axis 0 where the profile crosses the axis.
+
+    Along an arc the off-axis coordinate is y(theta) = a + b cos(theta) +
+    c sin(theta) in every model, so the crossings inside each span are
+    closed-form.  A crossing at a join may round to either arc.
+    """
+    space, ts = profile.space, []
+    for arc in profile.segments:
+        y0, y1, y2 = circle_point(space, arc.center, arc.frame_u, arc.frame_v, arc.radius,
+                                  [0.0, 0.5 * math.pi, math.pi])[:, 1]
+        a, b = 0.5 * (y0 + y2), 0.5 * (y0 - y2)
+        amp = math.hypot(b, y1 - a)
+        if not abs(a) < amp:  # the circle misses the axis, or only touches it
+            continue
+        phi, half = math.atan2(y1 - a, b), math.acos(-a / amp)
+        for theta in (phi - half, phi + half):
+            w = (theta - arc.theta_start) % (2.0 * math.pi)
+            if w <= arc.span + 1e-12 or w >= 2.0 * math.pi - 1e-12:
+                ts.append(axis_foot(space, arc_point(space, arc, theta)))
+    if not ts:
+        raise ValueError("the profile does not cross its rotation axis")
+    return min(ts), max(ts)
+
+
+def _inscribed_revolution(profile: ProfileCurve):
+    """(center, r): the largest ball centered on the profile's rotation axis.
+
+    g(t), the distance from the axis point at t to the profile, is the
+    smaller of one branch per arc.  Where the contact lies inside an arc,
+    that arc's branch is its radius minus the distance to its center,
+    whose top is the center's foot on the axis (closed form).  So the
+    maximum of g on the chord inside the body, where g has a single
+    maximum, sits at such a foot or where two branches cross.  The feet
+    are scored first, in one kernel call; the best one is the maximum when
+    its own arc touches there from inside its span.  Otherwise the single
+    maximum is a crossing, and a grid zoom over the whole chord
+    (`bracketed_min`) returns its best sample, however many branches meet
+    near it.
+    """
+    space = profile.space
+    # beyond the chord the axis point is outside the body, where the distance
+    # to the profile is not the inscribed objective
+    lo, hi = _axis_chord(profile)
+    tie = 1e-12 * (hi - lo)
+    feet = np.clip([axis_foot(space, arc.center) for arc in profile.segments], lo, hi)
+    ts = np.unique(feet)
+    pts = axis_points(space, ts)
+    g = profile_extreme_dists(profile, pts)[0]
+    i = int(np.argmax(g))
+    for arc in (arc for arc, foot in zip(profile.segments, feet) if foot == ts[i]):
+        inner = arc.radius - float(distance(space, pts[i], arc.center))
+        if inner >= 0.0 and abs(g[i] - inner) <= tie:
+            return pts[i], float(g[i])
+
+    # no foot is the maximum: zoom a grid on the chord, stopping a few ulps
+    # wide so that a maximum at t = 0 does not shrink the bracket to subnormals
+    xtol = 8.0 * float(np.finfo(float).eps) * max(abs(lo), abs(hi))
+    t, neg_g = bracketed_min(lambda t: -profile_extreme_dists(profile, axis_points(space, t))[0],
+                             lo, hi, xtol)
+    return axis_points(space, t), -neg_g
 
 
 def join_tangent_mismatch(profile: ProfileCurve) -> float:

@@ -1,37 +1,37 @@
 """Empirical verification of the shell bounds on concrete convex bodies.
 
 The shell of a body is centered at its inscribed-ball (Chebyshev) center.
-Flat support-function bodies are solved as stacks by `_flat`: the
-certified Chebyshev center (an exact LP on the 2048-direction grid, a
-contact Newton and a weak-duality certificate) and the Newton-polished
-circumscribed radius.  `check_bounds` runs a flat body as its stack of
-one through the same `_check_stack` as `verify_batch`, which checks the
+Every body answers its shell as a stack (see `bodies`): `inscribed()`
+gives the centers and radii, `outer_radius(centers)` the outer radii and
+`depth(centers)` the signed distance to the boundary.  A trigonometric
+stack answers with the `_flat` solvers.  An arc body takes its outer
+radius and depth from its profile in closed form, and its center from
+the certified support LP when flat or from its rotation axis when a body
+of revolution.  `check_bounds` runs every body as its stack of one
+through the same `_check_stack` as `verify_batch`, which checks the
 seeded random bodies as stacks of at most STACK_CAP, in at most one
 process per STACK_CAP seeds begun; a body's record does not depend on
 the stack or the process it was checked in.  `inscribed_ball` and
-`circumscribed_from_center` also run a flat body as a stack of one, the
-latter testing first that its center is interior.
-Rotationally symmetric bodies restrict the center to the rotation axis,
-where the maximum lies at the foot of an arc center (closed form) or
-where distance branches of arcs cross (a grid zoom along the axis chord).
-All 1-D searches come from `_optim`, so the module needs numpy alone.
+`circumscribed_from_center` read row 0 of the same answers, the latter
+testing first that its center is interior.  The module needs numpy alone.
 
 Evaluations of a trigonometric body's series on the fixed direction
 grids (the 2048-direction support grid, and the rolling check's default
 100 samples and 512 probes) read the shared mode tables of `bodies`.
-The flat rolling check's outer test takes the square root of the largest
-squared distance: sqrt is monotone and correctly rounded, so the verdict
-is the distance test's bit for bit, without a (samples, probes, 2) array
-and its norm.  It runs over the samples in blocks of max(2, 12288 //
-probes) samples, 24 at the default 512 probes, so that up to 6144
-probes no temporary exceeds 12288 floats (96 KiB).  glibc serves an
-allocation of 128 KiB or more with a fresh mmap and hands large freed
-memory back to the kernel, so whole (samples, probes) arrays made on
-each call faulted in about 1.9 MB of new pages per call in a loop over
-flat bodies.  Each fault traps to the kernel, which zeroes the page, and
-the call cost 1.4-1.7 ms instead of 0.55 on a 2-vCPU machine.  Blocks
-below the threshold are served again from the heap.  Min and max are
-exact, so the verdict is the unblocked one bit for bit.
+The flat rolling check's outer test takes the square root of the
+largest squared distance: sqrt is monotone and correctly rounded, so
+the verdict is the distance test's bit for bit, without a (samples,
+probes, 2) array and its norm.  It runs over the samples in the blocks
+of `bodies._row_blocks` (23 samples at the default 512 probes), so that
+up to 4096 probes no temporary exceeds 12288 floats (96 KiB).  glibc
+serves an allocation of 128 KiB or more with a fresh mmap and hands
+large freed memory back to the kernel, so whole (samples, probes)
+arrays made on each call faulted in about 1.9 MB of new pages per call
+in a loop over flat bodies.  Each fault traps to the kernel, which
+zeroes the page, and the call cost 1.4-1.7 ms instead of 0.55 on a
+2-vCPU machine.  Blocks below the threshold are served again from the
+heap.  Min and max are exact, so the verdict is the unblocked one bit
+for bit.
 """
 
 from __future__ import annotations
@@ -43,28 +43,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._flat import _BodyError, _circumscribed, _inscribed_support, _support_gap_minima
-from ._optim import bracketed_min
+from ._flat import _BodyError
 from .bodies import (
     RevolutionBody,
+    _row_blocks,
     angle_grid,
     curvature_range,
     random_pinched_stack,
     unit_vectors,
 )
 from .bounds import outer_radius_bound, quotient_bound, width_bound
-from .geometry import (
-    PinchSpec,
-    SpaceCurvature,
-    axis_foot,
-    axis_points,
-    circle_point,
-    distance,
-)
-from .spindle import ProfileCurve, arc_point, profile_extreme_dists, segment_length
+from .geometry import PinchSpec, SpaceCurvature, circle_point, space_mismatch
+from .spindle import profile_extreme_dists, segment_length
 
 BOUND_SLACK = 1e-7  # slack of the satisfied flags, relative to r1: absorbs discretization
-_BLOCK_FLOATS = 12288  # float64 per temporary of the flat rolling check: 96 KiB
 
 
 @dataclass(frozen=True)
@@ -103,105 +95,27 @@ class ShellResult:
         return m
 
 
-# ---------------------------------------------------------------------------
-# Rotationally symmetric bodies: the inscribed center on the rotation axis.
-
-def _axis_chord(profile: ProfileCurve):
-    """(lo, hi): the positions on axis 0 where the profile crosses the axis.
-
-    Along an arc the off-axis coordinate is y(theta) = a + b cos(theta) +
-    c sin(theta) in every model, so the crossings inside each span are
-    closed-form.  A crossing at a join may round to either arc.
-    """
-    space, ts = profile.space, []
-    for arc in profile.segments:
-        y0, y1, y2 = circle_point(space, arc.center, arc.frame_u, arc.frame_v, arc.radius,
-                                  [0.0, 0.5 * math.pi, math.pi])[:, 1]
-        a, b = 0.5 * (y0 + y2), 0.5 * (y0 - y2)
-        amp = math.hypot(b, y1 - a)
-        if not abs(a) < amp:  # the circle misses the axis, or only touches it
-            continue
-        phi, half = math.atan2(y1 - a, b), math.acos(-a / amp)
-        for theta in (phi - half, phi + half):
-            w = (theta - arc.theta_start) % (2.0 * math.pi)
-            if w <= arc.span + 1e-12 or w >= 2.0 * math.pi - 1e-12:
-                ts.append(axis_foot(space, arc_point(space, arc, theta)))
-    if not ts:
-        raise ValueError("the profile does not cross its rotation axis")
-    return min(ts), max(ts)
-
-
-def _inscribed_revolution(body: RevolutionBody):
-    """Largest ball centered on the rotation axis.
-
-    g(t), the distance from the axis point at t to the profile, is the
-    smaller of one branch per arc.  Where the contact lies inside an arc,
-    that arc's branch is its radius minus the distance to its center,
-    whose top is the center's foot on the axis (closed form).  So the
-    maximum of g on the chord inside the body, where g has a single
-    maximum, sits at such a foot or where two branches cross.  The feet
-    are scored first, in one kernel call; the best one is the maximum when
-    its own arc touches there from inside its span.  Otherwise the single
-    maximum is a crossing, and a grid zoom over the whole chord
-    (`bracketed_min`) returns its best sample, however many branches meet
-    near it.
-    """
-    space, profile = body.space, body.profile
-    # beyond the chord the axis point is outside the body, where the distance
-    # to the profile is not the inscribed objective
-    lo, hi = _axis_chord(profile)
-    tie = 1e-12 * (hi - lo)
-    feet = np.clip([axis_foot(space, arc.center) for arc in profile.segments], lo, hi)
-    ts = np.unique(feet)
-    pts = axis_points(space, ts)
-    g = profile_extreme_dists(profile, pts)[0]
-    i = int(np.argmax(g))
-    for arc in (arc for arc, foot in zip(profile.segments, feet) if foot == ts[i]):
-        inner = arc.radius - float(distance(space, pts[i], arc.center))
-        if inner >= 0.0 and abs(g[i] - inner) <= tie:
-            return pts[i], float(g[i])
-
-    # no foot is the maximum: zoom a grid on the chord, stopping a few ulps
-    # wide so that a maximum at t = 0 does not shrink the bracket to subnormals
-    xtol = 8.0 * float(np.finfo(float).eps) * max(abs(lo), abs(hi))
-    t, neg_g = bracketed_min(lambda t: -profile_extreme_dists(profile, axis_points(space, t))[0],
-                             lo, hi, xtol)
-    return axis_points(space, t), -neg_g
-
-
 def inscribed_ball(body):
-    """Center and radius of the largest ball inside the body.
+    """Center and radius of the largest ball inside the body: row 0 of `stack.inscribed()`.
 
-    Flat support bodies solve the concave maximin over the plane as a
-    stack of one, the radius certified by weak duality as
-    `_inscribed_support` states; revolution bodies maximize along the
-    rotation axis: at the foot of an arc center (closed form), or else
-    by a grid zoom along the chord inside the body.
+    A flat support body has the certified Chebyshev center of the support
+    LP, a revolution body the best center on its rotation axis.
     """
-    if isinstance(body, RevolutionBody):
-        return _inscribed_revolution(body)
-    o, r, _ = _inscribed_support(body.stack)
-    return o[0], float(r[0])
+    centers, r = body.stack.inscribed()
+    return centers[0], float(r[0])
 
 
 def circumscribed_from_center(body, center):
-    """Largest geodesic distance from center to the boundary.
+    """Largest geodesic distance from center to the boundary: row 0 of `stack.outer_radius`.
 
-    The center must be interior: a flat body tests it by its support gap
-    minima.  Support bodies scan the boundary over the direction grid and
-    Newton-polish the top local maxima (`_circumscribed`, as a stack of
-    one); revolution bodies use the per-arc closed form.
+    The center must be interior, at a positive `depth`.  A trigonometric
+    body polishes its largest grid distances; an arc body, flat or of
+    revolution, takes the closed form of its profile.
     """
-    if isinstance(body, RevolutionBody):
-        lo, hi = profile_extreme_dists(body.profile, center)
-        if lo <= 0.0:
-            raise ValueError("center must be interior to the body")
-        return float(hi)
-    o = np.asarray(center, float)[None]
-    stack = body.stack
-    if _support_gap_minima(stack, o)[0][0] <= 0.0:
+    stack, o = body.stack, np.asarray(center, float)[None]
+    if stack.depth(o)[0] <= 0.0:
         raise ValueError("center must be interior to the body")
-    return float(_circumscribed(stack, o)[0])
+    return float(stack.outer_radius(o)[0])
 
 
 def _pinch_precondition(body, pinch: PinchSpec):
@@ -257,39 +171,27 @@ def _shells(pinch: PinchSpec, centers, inner, outer) -> list:
     return out
 
 
-def _require_same_space(body, pinch: PinchSpec) -> None:
-    space = pinch.space
-    if body.space != space:
-        raise ValueError(f"the body lies in {body.space.kind} space (c = {body.space.c}), "
-                         f"the pinching in {space.kind} space (c = {space.c})")
-
-
 def check_bounds(body, pinch: PinchSpec) -> ShellResult:
     """Compute the body's shell at the inscribed center and compare to the bounds.
 
-    A flat body is checked as its stack of one (`_check_stack`).
+    Every body is checked as its stack of one (`_check_stack`).
     """
-    _require_same_space(body, pinch)
-    if not isinstance(body, RevolutionBody):
-        return _check_stack(body.stack, pinch)[0]
-    _pinch_precondition(body, pinch)
-    center, r = inscribed_ball(body)
-    big_r = circumscribed_from_center(body, center)
-    return _shells(pinch, [center], [r], [big_r])[0]
+    if body.space.c != pinch.space.c:
+        raise space_mismatch(body.space, pinch)
+    return _check_stack(body.stack, pinch)[0]
 
 
 def _check_stack(stack, pinch: PinchSpec) -> list:
-    """The ShellResults of the bodies of a stack of flat bodies.
+    """The ShellResults of the bodies of a stack.
 
-    The certified center of r > 0 is interior, so it goes straight to the
-    circumscribed scan.
+    A center of r > 0 is interior, so it goes straight to the outer radius.
     """
     _pinch_precondition(stack, pinch)
-    centers, inner, _ = _inscribed_support(stack)
+    centers, inner = stack.inscribed()
     outside = np.flatnonzero(inner <= 0.0)
     if outside.size:
         raise _BodyError(outside[0], "center must be interior to the body")
-    return _shells(pinch, centers, inner, _circumscribed(stack, centers))
+    return _shells(pinch, centers, inner, stack.outer_radius(centers))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +208,8 @@ def rolling_check(body, pinch: PinchSpec, samples: int = 100, probes: int = 512,
     distance across blocks; the verdict is the unblocked one bit for
     bit.  A body and a pinching of different geometries, or fewer than
     one sample or probe, raise ValueError."""
-    _require_same_space(body, pinch)
+    if body.space.c != pinch.space.c:
+        raise space_mismatch(body.space, pinch)
     for name, n in (("samples", samples), ("probes", probes)):
         if n < 1:
             raise ValueError(f"{name} must be at least 1 (got {n})")
@@ -324,14 +227,8 @@ def rolling_check(body, pinch: PinchSpec, samples: int = 100, probes: int = 512,
     h_probe = np.asarray(body.h(th_probe))
     px, py = np.ascontiguousarray(np.asarray(body.boundary(th_probe)).T)
 
-    # a block has two rows or more, as the unblocked product had: numpy
-    # multiplies a single row by its matrix-vector path, which rounds
-    # differently.  So a last block of one row also takes the row before
-    # it, which the exact min and max do not mind.
-    rows = max(2, _BLOCK_FLOATS // probes)
-    blocks = [slice(min(lo, max(samples - 2, 0)), lo + rows) for lo in range(0, samples, rows)]
     gaps, d2s = np.array([_rolling_block(h_probe, u_rows, px, py, c_in[b], c_out[b])
-                          for b in blocks]).T
+                          for b in _row_blocks(samples, probes)]).T
     # sqrt is monotone and correctly rounded, so the root of the largest
     # squared distance is the largest distance bit for bit
     return not gaps.min() < pinch.r2 - tol and math.sqrt(float(d2s.max())) <= pinch.r1 + tol

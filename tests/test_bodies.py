@@ -12,6 +12,8 @@ from curvshell.bodies import (
     THETA_GRID,
     TrigSupportCurve,
     _mode_table,
+    _row_blocks,
+    _trig_vector,
     angle_grid,
     curvature_range,
     random_pinched_curve,
@@ -132,6 +134,23 @@ class TestGridTables:
 
 
 class TestSingleEvaluator:
+    @pytest.mark.parametrize("modes", [2, 8, 16])
+    def test_blocks_match_one_piece(self, modes):
+        # angles off the shared grids are evaluated in blocks of rows; every
+        # value is the one-piece product's bit for bit, also where a last
+        # row joins the block before it
+        body = random_pinched_curve(PINCH_12, seed=modes, modes=modes).translate([0.2, -0.1])
+        width = body._coef.shape[0]
+        rows = _row_blocks(10**6, width, group=4)[0].stop
+        assert rows % 4 == 0 and (rows + 1) * width <= 12288
+        blocks = _row_blocks(2 * rows + 1, width, group=4)
+        assert [(b.start, b.stop) for b in blocks] == [(0, rows), (rows, 2 * rows + 1)]
+        for n in (0, 1, 2, 5, rows - 1, rows, rows + 1, rows + 2, 2 * rows + 1, 4096):
+            thetas = np.linspace(-3.0, 9.0, n)
+            trig = _trig_vector(thetas, body.rho_cos.size)
+            for col in range(5):
+                assert np.array_equal(body._series(thetas, col), trig @ body._coef[:, col]), (n, col)
+
     @pytest.mark.parametrize("k2", [1.1, 2.0, 5.0])
     def test_body_matches_its_stack(self, k2):
         # a body and its stack of one read the same coefficients and table

@@ -3,6 +3,7 @@
 Also runs README's quickstart and every demo."""
 
 import ast
+import importlib
 import importlib.util
 import os
 import re
@@ -66,6 +67,21 @@ def test_every_exported_name_resolves():
     assert len(set(curvshell.__all__)) == len(curvshell.__all__)
     for name in curvshell.__all__:
         assert getattr(curvshell, name) is not None, name
+
+
+def test_tracer_targets_resolve():
+    # bench/spans.py wraps these by (module, attribute) for the traced run;
+    # a refactor that moves one would break only that run
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for name, module, attr, _ in spans.TRACED:
+        home = importlib.import_module(f"curvshell.{module}")
+        if "." in attr:  # a class method, wrapped on its class
+            cls_name, meth = attr.split(".")
+            assert isinstance(vars(getattr(home, cls_name)).get(meth), classmethod), name
+        else:
+            assert callable(getattr(home, attr, None)), name
 
 
 def test_readme_quickstart_runs():

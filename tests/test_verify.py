@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 import curvshell._flat as flat
 import curvshell.bodies as bodies
+import curvshell.spindle as spindle
 import curvshell.verify as verify
 from curvshell import cli
 from curvshell.bodies import (
@@ -28,11 +29,19 @@ from curvshell.geometry import (
     axis_foot,
     axis_point_frame,
     axis_points,
+    circle_point,
     curvature_from_sphere_radius,
     law_of_cosines_angle,
     origin,
 )
-from curvshell.spindle import Arc, ProfileCurve, SpindleSpec, profile_extreme_dists, spindle_radii
+from curvshell.spindle import (
+    Arc,
+    ProfileCurve,
+    SpindleSpec,
+    profile_extreme_dists,
+    sample_profile,
+    spindle_radii,
+)
 from curvshell.verify import (
     check_bounds,
     circumscribed_from_center,
@@ -398,7 +407,7 @@ class TestInscribedBall:
                    (-0.10952241191778089, 0.0), (-0.8602105669864988, 0.0)]
         profile = disk_shell_profile(centers, 1.75, 0.25)
         center, r = inscribed_ball(RevolutionBody(profile))
-        lo, hi = verify._axis_chord(profile)
+        lo, hi = spindle._axis_chord(profile)
         scan = profile_extreme_dists(profile, axis_points(FLAT, np.linspace(lo, hi, 20001)))[0]
         assert r >= scan.max() - 1e-12 * 2.0
         assert profile_extreme_dists(profile, center)[0] == r
@@ -465,6 +474,69 @@ class TestCircumscribed:
         got = circumscribed_from_center(body, body.profile.symmetry_center)
         assert_allclose(got, outer_radius_bound(SPHERE, p, r_t), atol=1e-9)
 
+    @pytest.mark.parametrize("space,k1,k2", [(FLAT, 1.0, 2.0), (SPHERE, 1.0, 2.0), (HYPER, 2.0, 3.0)])
+    def test_exterior_center_of_an_arc_body_raises(self, space, k1, k2):
+        # the interior test reads the signed distance to the boundary; an
+        # unsigned one let exterior points through, with an R from outside
+        p = PinchSpec.from_curvatures(space, k1, k2)
+        r_t = p.r2 + 0.6 * (p.r1 - p.r2)
+        body = RevolutionBody.spindle(SpindleSpec(space, p, r_t))
+        profile, (r, big_r) = body.profile, spindle_radii(SpindleSpec(space, p, r_t))
+        o = profile.symmetry_center
+        _, e1, e2 = axis_point_frame(space, 0, 0.0)
+        betas = np.linspace(0.0, 2.0 * math.pi, 13)
+        # beyond the circumscribed ball about the center, and inside the inscribed one
+        outside = np.array([circle_point(space, o, e1, e2, s * big_r, betas) for s in (1.01, 1.5)])
+        inside = np.array([circle_point(space, o, e1, e2, s * r, betas) for s in (0.0, 0.5, 0.99)])
+        lo = profile_extreme_dists(profile, outside)[0]
+        assert np.array_equal(body.depth(outside), -lo)
+        for pt in outside.reshape(-1, outside.shape[-1]):
+            with pytest.raises(ValueError, match="interior"):
+                circumscribed_from_center(body, pt)
+        lo, hi = profile_extreme_dists(profile, inside)
+        assert np.array_equal(body.depth(inside), lo) and (lo > 0.0).all()
+        for pt, want in zip(inside.reshape(-1, inside.shape[-1]), hi.ravel()):
+            # the closed form of the profile, bit for bit
+            assert circumscribed_from_center(body, pt) == float(want)
+        if space is FLAT:
+            arc_body = ArcSupportCurve(profile)
+            for pt in outside.reshape(-1, 2):
+                with pytest.raises(ValueError, match="interior"):
+                    circumscribed_from_center(arc_body, pt)
+
+    def test_exterior_examples_raise(self):
+        # a spherical spindle of R 0.728 answered 2.128 at this axis point,
+        # and the flat spindle's revolution body 2.4 at (1.5, 0)
+        p = PinchSpec.from_curvatures(SPHERE, 1.0, 2.0)
+        curved = RevolutionBody.spindle(SpindleSpec(SPHERE, p, 0.6))
+        flat_profile = spindle_support_curve(PINCH_12, 0.7).profile
+        for body, pt in ((curved, axis_points(SPHERE, 1.4)),
+                         (RevolutionBody(flat_profile), [1.5, 0.0]),
+                         (ArcSupportCurve(flat_profile), [1.5, 0.0])):
+            with pytest.raises(ValueError, match="interior"):
+                circumscribed_from_center(body, pt)
+
+    @pytest.mark.parametrize("shape", [(), (1.0, 0.4, -0.3, 0.55)])
+    def test_depth_at_corners(self, shape):
+        # the cut lens has three corners; its sides, from a convex polygon
+        # of dense boundary samples, off a band of 1e-3 about the boundary
+        profile = cut_lens_profile(*shape)[0]
+        body = RevolutionBody(profile)
+        poly, _ = sample_profile(profile, 4096)
+        edge = np.roll(poly, -1, axis=0) - poly
+        xs = np.linspace(-1.2, 1.2, 61)
+        pts = np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2)
+        lo = profile_extreme_dists(profile, pts)[0]
+        pts, lo = pts[lo > 1e-3], lo[lo > 1e-3]
+        rel = pts[:, None, :] - poly
+        inside = (edge[:, 0] * rel[..., 1] - edge[:, 1] * rel[..., 0] > 0.0).all(axis=1)
+        assert inside.any() and not inside.all()
+        assert np.array_equal(body.depth(pts), np.where(inside, lo, -lo))
+        chord = spindle._axis_chord(profile)
+        for t in (chord[0] - 0.05, chord[1] + 0.05):  # just past the corner and the cap
+            with pytest.raises(ValueError, match="interior"):
+                circumscribed_from_center(body, axis_points(FLAT, t))
+
 
 class TestCheckBounds:
     def test_circle_trivial(self):
@@ -505,7 +577,6 @@ class TestCheckBounds:
             return scan(*args)
 
         monkeypatch.setattr(flat, "_support_gap_minima", counting)
-        monkeypatch.setattr(verify, "_support_gap_minima", counting)
         check_bounds(random_pinched_curve(PINCH_12, seed=0), PINCH_12)
         assert len(calls) == 1
 
@@ -526,8 +597,8 @@ class TestCheckBounds:
     def test_scale_relative_slack(self, monkeypatch):
         # the slack of the flags and the range test on r follow r1: with R
         # tripled, the body scaled by 1e-9 violates its bounds as the unit one does
-        circumscribed = verify._circumscribed
-        monkeypatch.setattr(verify, "_circumscribed",
+        circumscribed = flat._circumscribed
+        monkeypatch.setattr(flat, "_circumscribed",
                             lambda stack, centers: 3.0 * circumscribed(stack, centers))
         for lam in (1.0, 1e-9):
             pinch = PinchSpec.from_curvatures(FLAT, 1.0 / lam, 2.0 / lam)
@@ -536,10 +607,22 @@ class TestCheckBounds:
 
     def test_non_finite_shell_raises(self, monkeypatch):
         # a failed solve must not read as a bound violation
-        monkeypatch.setattr(verify, "_circumscribed",
+        monkeypatch.setattr(flat, "_circumscribed",
                             lambda stack, centers: np.full(len(centers), math.inf))
         with pytest.raises(ValueError, match="non-finite"):
             check_bounds(random_pinched_curve(PINCH_12, seed=0), PINCH_12)
+
+    def test_arc_body_outer_radius_is_closed_form(self):
+        # an outer parallel body of seven disks, where the grid scan and its
+        # polish read R 1.94e-7 r1 low, beyond the slack of the satisfied
+        # flags; the profile gives R in closed form, as for its revolution body
+        c = [(-0.073, 0.172), (-0.073, -0.172), (0.009, 0.26), (0.009, -0.26),
+             (0.132, 0.322), (0.132, -0.322), (0.201, 0.0)]
+        profile = disk_shell_profile(c, 0.8, 0.2)
+        pinch = PinchSpec.from_curvatures(FLAT, 1.0, 5.0)
+        res = check_bounds(ArcSupportCurve(profile), pinch)
+        assert res.outer_R == profile_extreme_dists(profile, res.center)[1]
+        assert res.outer_R == check_bounds(RevolutionBody(profile), pinch).outer_R
 
     def test_pinch_violation_raises(self):
         body = random_pinched_curve(PINCH_12, seed=0)
@@ -670,12 +753,10 @@ class TestRolling:
     @pytest.mark.parametrize("probes", [512, 4096])
     def test_traced_peak(self, probes):
         # the unblocked check traced 2028 KiB at the default grids (five
-        # (100, 512) arrays); blocks keep every temporary under 96 KiB.  The
-        # flat spindle evaluates 4096 probes cheaply, a trigonometric body
-        # builds its mode table for them, so the spindle runs there
-        bodies = [spindle_support_curve(PINCH_12, 0.75)]
-        if probes == 512:
-            bodies.append(random_pinched_curve(PINCH_12, seed=3))
+        # (100, 512) arrays); blocks keep every temporary under 96 KiB.  A
+        # trigonometric body evaluates the 4096 probes, which are no shared
+        # grid, in blocks of rows too: in one piece it traced 1607 KiB
+        bodies = [spindle_support_curve(PINCH_12, 0.75), random_pinched_curve(PINCH_12, seed=3)]
         for body in bodies:
             rolling_check(body, PINCH_12, probes=probes)  # shared tables built
             tracing = tracemalloc.is_tracing()
@@ -806,6 +887,25 @@ class TestStacks:
         for seed, rec in zip(seeds, self.records(pinch, seeds)):
             res = check_bounds(random_pinched_curve(pinch, seed=seed), pinch)
             assert json.dumps(verify._record_from_result(res, seed, pinch)) == rec
+
+    def test_check_bounds_runs_one_stack(self, monkeypatch):
+        # every body type is checked as its stack of one, by one path
+        stacks, check = [], verify._check_stack
+
+        def counting(stack, pinch):
+            stacks.append(len(stack))
+            return check(stack, pinch)
+
+        monkeypatch.setattr(verify, "_check_stack", counting)
+        cases = [(random_pinched_curve(PINCH_12, seed=0), PINCH_12),
+                 (spindle_support_curve(PINCH_12, 0.7), PINCH_12)]
+        for space, k1, k2 in [(FLAT, 1.0, 2.0), (SPHERE, 1.0, 2.0), (HYPER, 2.0, 3.0)]:
+            p = PinchSpec.from_curvatures(space, k1, k2)
+            cases.append((RevolutionBody.spindle(SpindleSpec(space, p, 0.5 * (p.r1 + p.r2))), p))
+        for body, pinch in cases:
+            stacks.clear()
+            check_bounds(body, pinch)
+            assert stacks == [1], type(body).__name__
 
     def test_stacks_hold_at_most_the_cap(self, monkeypatch):
         sizes, check = [], verify._check_stack
