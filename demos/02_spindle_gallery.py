@@ -35,12 +35,12 @@ for space, k1, k2 in [
     spec = SpindleSpec(space, pinch, wb.maximizer_r)
     profile = build_spindle(spec)
     r, big_r = spindle_radii(spec)
-    scan_lo, scan_hi = numeric_radii(profile, 4096)
+    lo, hi = numeric_radii(profile)  # measured on the built arcs
     name = f"spindle_{space.kind}"
     write_profile_svg(profile, out_dir / f"{name}.svg")
     write_profile_csv(profile, out_dir / f"{name}.csv", n=2048)
     print(f"{space.kind:>10}: r={r:.6f} R={big_r:.6f} width={big_r - r:.9f} "
-          f"(bound {wb.bound:.9f}; scan [{scan_lo:.6f}, {scan_hi:.6f}])")
+          f"(bound {wb.bound:.9f}; profile radii [{lo:.6f}, {hi:.6f}])")
 
 # flat quotient maximizer member
 space = SpaceCurvature.flat()

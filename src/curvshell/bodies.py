@@ -331,8 +331,10 @@ class ArcSupportCurve(_SupportCurve, _ProfileBody):
     The arc of center c and radius r covers the normal angles of its span
     (its polar angles plus the angle of its frame_u), and there h = <c, u>
     + r, h' = <c, u_perp> and rho = r.  The arcs of a closed convex
-    profile cover the circle of normal angles once; one searchsorted over
-    their sorted starts finds the arc of each angle.
+    profile with tangent joins cover the circle of normal angles once; one
+    searchsorted over their sorted starts finds the arc of each angle.  A
+    corner would leave its normal cone to the arc before it, whose circle
+    runs on past its span there, so a profile with corners is refused.
     """
 
     def __init__(self, profile: ProfileCurve):
@@ -340,6 +342,13 @@ class ArcSupportCurve(_SupportCurve, _ProfileBody):
             raise ValueError("arc support curves are flat-geometry bodies")
         arcs = profile.segments
         turns = [math.atan2(arc.frame_u[1], arc.frame_u[0]) for arc in arcs]
+        for i, (arc, w) in enumerate(zip(arcs, turns)):
+            j = (i + 1) % len(arcs)
+            jump = abs((arcs[j].theta_start + turns[j] - arc.theta_end - w + math.pi)
+                       % (2.0 * math.pi) - math.pi)
+            if jump > 1e-9:
+                raise ValueError(f"arc support curves need tangent joins: the normal angle "
+                                 f"jumps by {jump:.6g} rad from arc {i} to arc {j}")
         # normal angles of each arc's start and middle (where rho_range reports it)
         starts, mids = np.mod([[arc.theta_start + w, arc.theta_start + 0.5 * arc.span + w]
                                for arc, w in zip(arcs, turns)], 2.0 * math.pi).T

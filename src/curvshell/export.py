@@ -35,8 +35,7 @@ def write_profile_csv(profile: ProfileCurve, path, n: int = 1024) -> None:
         fh.write("x,y,kappa\n" + "".join(f"{x!r},{y!r},{kap!r}\n" for x, y, kap in rows))
 
 
-def profile_svg(profile: ProfileCurve, n: int = 1024, size: int = 640,
-                show_shell: bool = True) -> str:
+def profile_svg(profile: ProfileCurve, n: int = 1024, size: int = 640) -> str:
     """SVG drawing of the meridian, viewBox centered on the symmetry center.
 
     The dashed shell circles have the exact extreme distances from the
@@ -55,19 +54,17 @@ def profile_svg(profile: ProfileCurve, n: int = 1024, size: int = 640,
         f'<path d="M {coords} Z" fill="#d9d9d9" fill-opacity="0.55" '
         f'stroke="black" stroke-width="{stroke:.6f}"/>',
     ]
-    if show_shell:
-        for r in (r_in, r_out):
-            parts.append(
-                f'<circle cx="0" cy="0" r="{r!r}" fill="none" stroke="black" '
-                f'stroke-width="{stroke / 2:.6f}" stroke-dasharray="{3 * stroke:.6f} {3 * stroke:.6f}"/>'
-            )
+    for r in (r_in, r_out):
+        parts.append(
+            f'<circle cx="0" cy="0" r="{r!r}" fill="none" stroke="black" '
+            f'stroke-width="{stroke / 2:.6f}" stroke-dasharray="{3 * stroke:.6f} {3 * stroke:.6f}"/>'
+        )
     parts.append(f'<circle cx="0" cy="0" r="{stroke:.6f}" fill="black"/>')
     parts.append("</svg>")
     return "\n".join(parts)
 
 
-def write_profile_svg(profile: ProfileCurve, path, n: int = 1024, size: int = 640,
-                      show_shell: bool = True) -> None:
+def write_profile_svg(profile: ProfileCurve, path, n: int = 1024, size: int = 640) -> None:
     with open(path, "w") as fh:
-        fh.write(profile_svg(profile, n=n, size=size, show_shell=show_shell))
+        fh.write(profile_svg(profile, n=n, size=size))
         fh.write("\n")

@@ -1,18 +1,19 @@
-"""Extremal rounded spindle profiles and their measured radii.
+"""Extremal rounded spindle profiles and their radii.
 
 A rounded spindle is the meridian of the surface of revolution that
 attains the shell bounds: two arcs of geodesic curvature kappa1 (the
 "main" arcs) closed off by two caps of geodesic curvature kappa2 whose
 centers sit on the rotation axis, joined with matching tangents.  The
-profile is kept as an exact list of constant-curvature arcs; sampling
-and distance scans are derived from it.
+profile is kept as an exact list of constant-curvature arcs; samples
+for export are derived from it.
 
 The construction is driven by one parameter, the inscribed radius
 r_tilde in [r2, r1].  The cap-center offset d comes from the right
 geodesic triangle with legs (r1 - r_tilde) and d and hypotenuse
 (r1 - r2); its hypotenuse relation is exactly the outer-radius bound,
 so the built profile attains that bound by construction.  Any arc profile
-also gives here the distances from points to it and the shell of its body.
+also gives here, in closed form, the distances from points to it (its
+radii about the symmetry center among them) and the shell of its body.
 """
 
 from __future__ import annotations
@@ -205,48 +206,6 @@ def sample_profile(profile: ProfileCurve, n: int):
     return points, kappas
 
 
-def numeric_radii(profile: ProfileCurve, n: int = 4096):
-    """(min, max) distance from the symmetry center, scan plus local refinement.
-
-    Samples the profile at n points, then polishes the minimum and maximum
-    within the owning segments: a grid zoom on the segment's angular
-    parameter, bracketed by the scan's neighbouring samples.
-    """
-    if n < 1000:
-        raise ValueError("the radii scan needs at least 1000 samples")
-    space, center = profile.space, profile.symmetry_center
-    points, _ = sample_profile(profile, n)
-    dists = distance(space, center, points)
-
-    lengths = np.array([segment_length(space, s) for s in profile.segments])
-    total = float(lengths.sum())
-    starts = np.concatenate([[0.0], np.cumsum(lengths)])
-    s_vals = np.arange(n) * (total / n)
-    seg_idx = np.minimum(np.searchsorted(starts, s_vals, side="right") - 1,
-                         len(profile.segments) - 1)
-
-    def refine(i, sign):
-        j = seg_idx[i]
-        seg = profile.segments[j]
-        # the sample's angle and the angular spacing of the scan on this segment
-        per_len = seg.span / max(lengths[j], 1e-300)
-        theta = seg.theta_start + (s_vals[i] - starts[j]) * per_len
-        pad = (total / n) * per_len
-        lo = max(theta - pad, seg.theta_start)
-        hi = min(theta + pad, seg.theta_end)
-
-        def f(thetas):
-            return sign * distance(space, center, arc_point(space, seg, thetas))
-
-        # an extremum inside the arc is flat to second order in the angle, so
-        # the best sample of a 1e-8 bracket gives it to rounding
-        return sign * bracketed_min(f, lo, hi, xtol=1e-8)[1]
-
-    lo = min(float(dists.min()), refine(int(np.argmin(dists)), 1.0))
-    hi = max(float(dists.max()), refine(int(np.argmax(dists)), -1.0))
-    return lo, hi
-
-
 def _ang_sep(x, y):
     """Circular angular separation in [0, pi]; broadcasts."""
     d = (x - y) % (2.0 * math.pi)
@@ -293,6 +252,16 @@ def profile_extreme_dists(profile: ProfileCurve, points):
     """
     dists = _arc_dists(profile, points)[0]
     return dists[:, 0].min(axis=0), dists[:, 1].max(axis=0)
+
+
+def numeric_radii(profile: ProfileCurve):
+    """(min, max) distance from the symmetry center to the profile, as floats.
+
+    The closed-form arc kernel (`profile_extreme_dists`) at the symmetry
+    center: each arc gives its nearest and farthest points exactly.
+    """
+    lo, hi = profile_extreme_dists(profile, profile.symmetry_center)
+    return float(lo), float(hi)
 
 
 class _ProfileBody:

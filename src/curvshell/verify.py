@@ -53,7 +53,7 @@ from .bodies import (
     unit_vectors,
 )
 from .bounds import outer_radius_bound, quotient_bound, width_bound
-from .geometry import PinchSpec, SpaceCurvature, circle_point, space_mismatch
+from .geometry import PinchSpec, circle_point, space_mismatch
 from .spindle import profile_extreme_dists, segment_length
 
 BOUND_SLACK = 1e-7  # slack of the satisfied flags, relative to r1: absorbs discretization
@@ -296,9 +296,8 @@ def _record_from_result(res: ShellResult, seed, pinch: PinchSpec) -> dict:
 STACK_CAP = 64  # bodies per stack, so peak memory does not grow with the seed count
 
 
-def _check_share(kappa1, kappa2, seeds, modes):
+def _check_share(pinch, seeds, modes):
     """Records of the seeded random bodies, checked in stacks of at most STACK_CAP."""
-    pinch = PinchSpec.from_curvatures(SpaceCurvature.flat(), kappa1, kappa2)
     records = []
     for lo in range(0, len(seeds), STACK_CAP):
         part = seeds[lo:lo + STACK_CAP]
@@ -330,15 +329,14 @@ def verify_batch(pinch: PinchSpec, seeds, modes: int = 8, jobs: int = 1):
     size, extra = divmod(len(seeds), n)  # the first `extra` shares take one more
     ends = [i * size + min(i, extra) for i in range(n + 1)]
     shares = [seeds[a:b] for a, b in zip(ends[:-1], ends[1:]) if b > a]
-    args = (pinch.kappa1, pinch.kappa2)
     if len(shares) > 1:
         with ProcessPoolExecutor(max_workers=len(shares) - 1) as pool:
-            futures = [pool.submit(_check_share, *args, share, modes) for share in shares[1:]]
-            records = _check_share(*args, shares[0], modes)
+            futures = [pool.submit(_check_share, pinch, share, modes) for share in shares[1:]]
+            records = _check_share(pinch, shares[0], modes)
             for fut in futures:
                 records += fut.result()
     else:
-        records = _check_share(*args, seeds, modes)
+        records = _check_share(pinch, seeds, modes)
     records.sort(key=lambda r: r["seed"])
     return records
 

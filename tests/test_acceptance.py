@@ -153,14 +153,14 @@ def test_criterion_3_sharpness():
                 pinch = random_pinch_for(space, rng)
                 wb = width_bound(space, pinch)
                 prof = build_spindle(SpindleSpec(space, pinch, wb.maximizer_r))
-                lo, hi = numeric_radii(prof, 2048)
+                lo, hi = numeric_radii(prof)
                 assert abs((hi - lo) - wb.bound) <= 1e-6
         rng = rng_for(77)
         for _ in range(50):
             pinch = random_pinch_for(FLAT, rng)
             qb = quotient_bound(pinch)
             prof = build_spindle(SpindleSpec(FLAT, pinch, quotient_maximizer(pinch)))
-            lo, hi = numeric_radii(prof, 2048)
+            lo, hi = numeric_radii(prof)
             assert abs(hi / lo - qb.bound) <= 1e-8 * qb.bound
 
 
@@ -171,7 +171,7 @@ def test_criterion_4_outer_radius_equality_family():
                 space, *( (2.0, 3.0) if name == "hyperbolic" else (1.0, 2.0) ))
             for r_tilde in np.linspace(pinch.r2, pinch.r1, 33):
                 prof = build_spindle(SpindleSpec(space, pinch, float(r_tilde)))
-                _, hi = numeric_radii(prof, 2048)
+                _, hi = numeric_radii(prof)
                 assert abs(hi - outer_radius_bound(space, pinch, float(r_tilde))) <= 1e-8
 
 

@@ -30,6 +30,7 @@ from conftest import (
     HYPER,
     SPHERE,
     closure_residual,
+    cut_lens_profile,
     disk_shell_profile,
     random_pinch,
     rng_for,
@@ -318,6 +319,14 @@ class TestArcSupportCurve:
     def test_rejects_curved(self):
         with pytest.raises(ValueError, match="flat"):
             spindle_support_curve(PinchSpec.from_curvatures(SPHERE, 1.0, 2.0), 0.6)
+
+    def test_rejects_corners(self):
+        # the cut lens's normal angle jumps at its three corners; the first
+        # is at the end of the cap, arc 0.  Its revolution body takes corners.
+        profile, _, r_star = cut_lens_profile()
+        with pytest.raises(ValueError, match=r"tangent joins: .* from arc 0 to arc 1"):
+            ArcSupportCurve(profile)
+        assert_allclose(RevolutionBody(profile).inscribed()[1], r_star, rtol=0, atol=1e-12)
 
 
 class TestRevolutionBody:

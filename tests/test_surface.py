@@ -69,12 +69,18 @@ def test_every_exported_name_resolves():
         assert getattr(curvshell, name) is not None, name
 
 
+def _bench_module(name):
+    """bench/<name>.py, loaded by path: bench/ is not a package."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_tracer_targets_resolve():
     # bench/spans.py wraps these by (module, attribute) for the traced run;
     # a refactor that moves one would break only that run
-    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _bench_module("spans")
     for name, module, attr, _ in spans.TRACED:
         home = importlib.import_module(f"curvshell.{module}")
         if "." in attr:  # a class method, wrapped on its class
@@ -82,6 +88,27 @@ def test_tracer_targets_resolve():
             assert isinstance(vars(getattr(home, cls_name)).get(meth), classmethod), name
         else:
             assert callable(getattr(home, attr, None)), name
+
+
+def test_bench_workloads_pass_their_checks(monkeypatch, tmp_path):
+    # each workload's fewest ops, through the calls and the correctness checks
+    # of bench/run.py, so that a change of call shape or of a checked value
+    # fails here and not only in the benchmark
+    import mpmath
+
+    monkeypatch.setattr(mpmath.mp, "dps", mpmath.mp.dps)  # bench/checks.py sets 50 digits
+    workloads, checks, spans = (_bench_module(n) for n in ("workloads", "checks", "spans"))
+    tracer = spans.NullTracer()
+    for name, cls in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        wl = cls(1, str(workdir))
+        outs = []
+        for i in range(wl.min_ops):
+            out = wl.op(i, tracer)
+            assert not wl.failed(out), (name, i)
+            outs.append(out if wl.keeps(i) else None)
+        wl.check(outs, checks)
 
 
 def test_readme_quickstart_runs():

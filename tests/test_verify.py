@@ -952,7 +952,7 @@ class TestBatchIO:
                 pools.append((max_workers, self.shares))
 
             def submit(self, fn, *args):
-                self.shares.append(args[2])
+                self.shares.append(args[1])
                 return super().submit(fn, *args)
 
         monkeypatch.setattr(verify, "ProcessPoolExecutor", Spy)
@@ -973,6 +973,15 @@ class TestBatchIO:
         monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
         assert verify_batch(PINCH_12, seeds=range(6), modes=6, jobs=2) == \
             verify_batch(PINCH_12, seeds=range(6), modes=6, jobs=1)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("space,k1,k2", [(SPHERE, 1.0, 2.0), (HYPER, 2.0, 3.0)])
+    def test_rejects_a_curved_pinching(self, space, k1, k2, jobs):
+        # the random family is flat: a curved pinching is refused, not checked
+        # against the flat bounds of its curvatures
+        pinch = PinchSpec.from_curvatures(space, k1, k2)
+        with pytest.raises(ValueError, match="flat-geometry bodies"):
+            verify_batch(pinch, seeds=[0, 1], jobs=jobs)
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_rejects_jobs_below_one(self, jobs):
