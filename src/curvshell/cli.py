@@ -1,8 +1,8 @@
 """Command-line front end: bound calculators, spindle export, batch verification.
 
 Numbers are printed with 9 significant digits; JSON output carries full
-binary64 values.  Exit codes: 0 success, 1 invalid input, 2 a verification
-run found a bound violation.
+binary64 values.  Exit codes: 0 success, 1 invalid input or an output
+path that cannot be written, 2 a verification run found a bound violation.
 """
 
 from __future__ import annotations
@@ -80,6 +80,7 @@ def _resolve_r_tilde(pinch: PinchSpec, token: str) -> float:
 
 def cmd_bound(pinch: PinchSpec, args) -> int:
     space = pinch.space
+    ob = None if args.r is None else outer_radius_bound(space, pinch, args.r)
     wb = width_bound(space, pinch)
     record = {
         "geometry": _geometry_record(space),
@@ -95,8 +96,7 @@ def cmd_bound(pinch: PinchSpec, args) -> int:
     }
     print(f"width_bound {_fmt(wb.bound)}")
     print(f"width_maximizer_r {_fmt(wb.maximizer_r)}")
-    if args.r is not None:
-        ob = outer_radius_bound(space, pinch, args.r)
+    if ob is not None:
         record["r"] = args.r
         record["outer_radius_bound"] = ob
         print(f"outer_radius_bound(r={_fmt(args.r)}) {_fmt(ob)}")
@@ -122,6 +122,8 @@ def cmd_bound(pinch: PinchSpec, args) -> int:
 
 def cmd_spindle(pinch: PinchSpec, args) -> int:
     space = pinch.space
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1 (got {args.samples})")
     r_tilde = _resolve_r_tilde(pinch, args.r)
     spec = SpindleSpec(space, pinch, r_tilde)
     r, big_r = spindle_radii(spec)
@@ -152,13 +154,16 @@ def cmd_spindle(pinch: PinchSpec, args) -> int:
 
 
 def _parse_seed_range(token: str):
-    if ".." in token:
+    try:
+        if ".." not in token:
+            return [int(token)]
         lo, hi = token.split("..", 1)
         seeds = range(int(lo), int(hi) + 1)
-        if not seeds:
-            raise ValueError(f"empty seed range {token}")
-        return seeds
-    return [int(token)]
+    except ValueError:
+        raise ValueError(f"--seeds must be an integer or a range A..B (got {token!r})") from None
+    if not seeds:
+        raise ValueError(f"empty seed range {token}")
+    return seeds
 
 
 def _spindle_family_records(pinch: PinchSpec, args):
@@ -282,6 +287,11 @@ def main(argv=None) -> int:
         return args.func(PinchSpec.from_curvatures(_space_from(args), args.k1, args.k2), args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        if exc.filename is None:  # not an output path: no message of ours fits
+            raise
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

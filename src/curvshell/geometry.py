@@ -404,24 +404,11 @@ def angle_in_frame(space: SpaceCurvature, center: np.ndarray, u: np.ndarray,
     else:
         w = p + _mink(p, center)[..., None] * center
         y, x = _mink(w, v), _mink(w, u)
-    if np.ndim(y) == 0:  # libm atan2 keeps the spindle constructions' last bits
+    # single-point kernel calls (numeric_radii) keep libm's atan2 bits:
+    # np.arctan2 rounds differently on about 7% of random arguments
+    if np.ndim(y) == 0:
         return math.atan2(float(y), float(x))
     return np.arctan2(y, x)
-
-
-def geodesic_toward(space: SpaceCurvature, a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
-    """Point at distance t from a along the geodesic through a and b."""
-    if space.kind == FLAT:
-        d = np.linalg.norm(b - a)
-        return a + (t / d) * (b - a)
-    k = space.k
-    if space.kind == SPHERICAL:
-        w = b - (a @ b) * a
-        w = w / np.linalg.norm(w)
-        return math.cos(k * t) * a + math.sin(k * t) * w
-    w = b + _mink(a, b) * a
-    w = w / math.sqrt(max(float(_mink(w, w)), 1e-300))
-    return math.cosh(k * t) * a + math.sinh(k * t) * w
 
 
 def point_reflect(space: SpaceCurvature, center: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -11,9 +11,12 @@ The construction is driven by one parameter, the inscribed radius
 r_tilde in [r2, r1].  The cap-center offset d comes from the right
 geodesic triangle with legs (r1 - r_tilde) and d and hypotenuse
 (r1 - r2); its hypotenuse relation is exactly the outer-radius bound,
-so the built profile attains that bound by construction.  Any arc profile
-also gives here, in closed form, the distances from points to it (its
-radii about the symmetry center among them) and the shell of its body.
+so the built profile attains that bound by construction.  The join
+angles are that triangle's angles at the main and cap centers, taken in
+closed form, so each join is tangent to the last bits at any
+kappa2 / kappa1.  Any arc profile also gives here, in closed form, the
+distances from points to it (its radii about the symmetry center among
+them) and the shell of its body.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 from ._optim import bracketed_min
 from .bounds import outer_radius_bound
 from .geometry import (
+    SPHERICAL,
     PinchSpec,
     SpaceCurvature,
     angle_in_frame,
@@ -36,7 +40,6 @@ from .geometry import (
     circle_point,
     circle_tangent,
     distance,
-    geodesic_toward,
     law_of_cosines_side,
     origin,
     space_mismatch,
@@ -95,23 +98,8 @@ class ProfileCurve:
     symmetry_center: np.ndarray
 
 
-def _upper_right_join(space: SpaceCurvature, pinch: PinchSpec, a: float, d_tilde: float) -> np.ndarray:
-    """Tangency point between the upper main arc and the right cap."""
-    main_center, _, _ = axis_point_frame(space, 1, -a)
-    cap_center, _, _ = axis_point_frame(space, 0, d_tilde)
-    if a == 0.0:  # concentric: join lies on the axis
-        return circle_point(space, main_center, *_frame_at_axis(space, 1, -a), pinch.r1, 0.0)
-    return geodesic_toward(space, main_center, cap_center, pinch.r1)
-
-
-def _frame_at_axis(space, axis, t):
-    _, u, v = axis_point_frame(space, axis, t)
-    return u, v
-
-
 def _circle_profile(space: SpaceCurvature, radius: float, curvature: float) -> ProfileCurve:
-    center = origin(space)
-    u, v = _frame_at_axis(space, 0, 0.0)
+    center, u, v = axis_point_frame(space, 0, 0.0)
     arc = Arc(center, radius, 0.0, 2.0 * math.pi, u, v, curvature)
     return ProfileCurve(space, (arc,), center)
 
@@ -121,6 +109,11 @@ def build_spindle(spec: SpindleSpec) -> ProfileCurve:
 
     Main arcs carry curvature kappa1, caps carry kappa2; the joins share
     tangents because each (main, cap) circle pair is internally tangent.
+    The join angles are the right triangle's angles at the main and cap
+    centers, in forms free of cancellation: with (sn, cs) = (sin, cos) on
+    the sphere and (sinh, cosh) in the hyperbolic plane, tan(phi_main) =
+    sn(ka) cs(kd) / sn(kd) and tan(phi_cap) = sn(ka) / (sn(kd) cs(ka)),
+    both a / d in the plane.
     """
     space, pinch = spec.space, spec.pinch
     r1, r2 = pinch.r1, pinch.r2
@@ -140,9 +133,13 @@ def build_spindle(spec: SpindleSpec) -> ProfileCurve:
     right_center, ri_u, ri_v = axis_point_frame(space, 0, d)
     left_center, le_u, le_v = axis_point_frame(space, 0, -d)
 
-    join = _upper_right_join(space, pinch, a, d)
-    phi_main = angle_in_frame(space, upper_center, up_u, up_v, join)
-    phi_cap = angle_in_frame(space, right_center, ri_u, ri_v, join)
+    if space.is_flat:
+        phi_main = phi_cap = math.atan2(a, d)
+    else:
+        sn, cs = (math.sin, math.cos) if space.kind == SPHERICAL else (math.sinh, math.cosh)
+        ka, kd = space.k * a, space.k * d
+        phi_main = math.atan2(sn(ka) * cs(kd), sn(kd))
+        phi_cap = math.atan2(sn(ka), sn(kd) * cs(ka))
 
     segments = (
         Arc(right_center, r2, -phi_cap, phi_cap, ri_u, ri_v, pinch.kappa2),

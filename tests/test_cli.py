@@ -145,6 +145,13 @@ class TestVerifyCommand:
         assert code == 0, err
         assert "5/5 satisfied" in out
 
+    def test_spindle_family_at_a_wide_pinch_ratio(self, capsys):
+        # the spindles' joins stay tangent, so their arc bodies are accepted
+        code, out, err = run_cli(capsys, "verify", "--flat", "--k1", "1", "--k2", "1e8",
+                                 "--family", "spindle")
+        assert code == 0, err
+        assert "33/33 satisfied" in out
+
     def test_curved_family(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--hyperbolic", "1", "--k1", "2", "--k2", "3",
                                "--family", "spindle", "--grid", "7")
@@ -207,11 +214,34 @@ class TestBadInput:
          "--jobs must be at least 1"),
         (["verify", "--flat", "--k1", "1", "--k2", "2", "--modes", "1024", "--seeds", "0..0"],
          "modes must be at most 1023"),
+        (["verify", "--flat", "--k1", "1", "--k2", "2", "--seeds", "x"],
+         "--seeds must be an integer or a range A..B (got 'x')"),
+        (["verify", "--flat", "--k1", "1", "--k2", "2", "--seeds", "0..y"],
+         "--seeds must be an integer or a range A..B (got '0..y')"),
+        (["spindle", "--flat", "--k1", "1", "--k2", "2", "--r", "0.7", "--samples", "0"],
+         "--samples must be at least 1 (got 0)"),
     ])
     def test_rejected(self, capsys, argv, needle):
-        code, _, err = run_cli(capsys, *argv)
+        # refused before any result is printed
+        code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert needle in err
+        assert out == ""
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--flat", "--k1", "1", "--k2", "2", "--json"],
+        ["spindle", "--flat", "--k1", "1", "--k2", "2", "--r", "0.7", "--samples", "16", "--csv"],
+        ["spindle", "--flat", "--k1", "1", "--k2", "2", "--r", "0.7", "--samples", "16", "--svg"],
+        ["spindle", "--flat", "--k1", "1", "--k2", "2", "--r", "0.7", "--json"],
+        ["verify", "--flat", "--k1", "1", "--k2", "2", "--seeds", "0..2", "--report"],
+        ["verify", "--flat", "--k1", "1", "--k2", "2", "--seeds", "0..2", "--summary"],
+    ])
+    def test_unwritable_output_path(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "out"
+        code, _, err = run_cli(capsys, *argv, str(path))
+        assert code == 1
+        assert f"error: cannot write {path}: " in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("value,needle", [

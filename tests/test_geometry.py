@@ -16,7 +16,6 @@ from curvshell.geometry import (
     circle_tangent,
     curvature_from_sphere_radius,
     distance,
-    geodesic_toward,
     law_of_cosines_angle,
     law_of_cosines_side,
     origin,
@@ -231,14 +230,6 @@ class TestPointOps:
         for t in (-0.7, 0.2, 1.1):
             p, _, _ = axis_point_frame(space, axis, t)
             assert_allclose(distance(space, origin(space), p), abs(t), atol=1e-12)
-
-    @pytest.mark.parametrize("space", SPACES)
-    def test_geodesic_toward_additive(self, space):
-        a, _, _ = axis_point_frame(space, 0, 0.2)
-        b, _, _ = axis_point_frame(space, 0, 0.9)
-        mid = geodesic_toward(space, a, b, 0.3)
-        assert_allclose(distance(space, a, mid), 0.3, atol=1e-12)
-        assert_allclose(distance(space, mid, b), 0.4, atol=1e-12)
 
     @pytest.mark.parametrize("space", SPACES)
     def test_angle_in_frame_round_trip(self, space):

@@ -108,6 +108,16 @@ class TestJoinsAndSymmetry:
             prof = build_spindle(SpindleSpec(space, p, r_t))
             assert join_tangent_mismatch(prof) <= 1e-9
 
+    @pytest.mark.parametrize("ratio", [1e3, 1e6, 1e8])
+    @pytest.mark.parametrize("space,k1", [(FLAT, 1.0), (SPHERE, 1.0), (HYPER, 1.5)])
+    def test_exact_joins_at_wide_pinch_ratios(self, space, k1, ratio):
+        # the join angles come from the right triangle in closed form, so the
+        # joins stay exact where the cap is ratio times smaller than the main arcs
+        p = PinchSpec.from_curvatures(space, k1, k1 * ratio)
+        for r_t in np.linspace(p.r2, p.r1, 33):
+            prof = build_spindle(SpindleSpec(space, p, float(r_t)))
+            assert join_tangent_mismatch(prof) <= 1e-14, r_t
+
     @pytest.mark.parametrize("space", SPACES)
     def test_central_symmetry(self, space):
         p = random_pinch(space, rng_for(33))

@@ -552,6 +552,13 @@ class TestCheckBounds:
         assert res.satisfied.all_ok
         assert abs(res.width - wb.bound) <= 1e-6
 
+    def test_spindle_at_a_wide_pinch_ratio(self):
+        # the closed-form join angles keep the joins tangent at kappa2 / kappa1 = 1e8,
+        # where the corner check of the arc body would refuse a normal-angle jump
+        pinch = PinchSpec.from_curvatures(FLAT, 1.0, 1e8)
+        for r_t in np.linspace(pinch.r2, pinch.r1, 7)[1:-1]:
+            assert check_bounds(spindle_support_curve(pinch, float(r_t)), pinch).satisfied.all_ok
+
     def test_spindle_quotient_sharp(self):
         body = spindle_support_curve(PINCH_12, quotient_maximizer(PINCH_12))
         res = check_bounds(body, PINCH_12)
