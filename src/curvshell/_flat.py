@@ -9,24 +9,26 @@ defined here, with the solvers it serves.  The inscribed-ball
     maximize over o of  min over t of  h(t) - <o, u(t)>,
 
 here in two steps.  The linear maximin over the 2048 support directions
-is solved exactly by a primal simplex on its 3-row dual, and certified
-by primal and dual feasibility of the final basis.  Its rows of positive
-dual weight, an antipodal pair or a spanning triple, seed one Newton on
-the contacts' optimality conditions, certified by weak duality to 1e-12
-(max|h| + |o|) if the grid scan finds every branch of the gap; a body
-whose certificate fails reseeds the Newton alone with the gap minima at
-its center.  A ball about the LP center needs no Newton.  The
-circumscribed radius Newton-polishes the largest grid distances from the
-center, using the exact derivatives of the boundary along its normal
-angle.
+is solved exactly by a primal simplex on its 3-row dual, one body at a
+time with its basis in scalars, and certified by primal and dual
+feasibility of the final basis.  Its rows of positive dual weight, an
+antipodal pair or a spanning triple, seed one joint Newton on the
+contacts' optimality conditions, in the center, radius, weights and
+contact angles together, certified by weak duality to 1e-12 (max|h| +
+|o|) if the grid scan finds every branch of the gap; a body whose
+certificate fails reseeds the Newton alone with the gap minima at its
+center.  A ball about the LP center needs no Newton.  The circumscribed
+radius Newton-polishes the largest grid distances from the center, using
+the exact derivatives of the boundary along its normal angle.
 
 Per-body arrays have one row per body of the stack, a set of bodies is
 an index array `ks` into it, and per-point arrays carry `body`, the
-stack index of each point's body.  Every batched operation acts on one
-body or one point at a time (per-body matrix products, per-point jets,
-per-body 3 x 3 cofactor inverses, and Newton points that freeze on their
-own step), so a body's results do not depend on the other bodies of its
-stack.  A failure on one body raises `_BodyError`, which carries its index.
+stack index of each point's body.  The LP runs body by body, and every
+batched operation acts on one body or one point at a time (per-body
+matrix products, per-point jets, per-row closed-form Newton steps, and
+Newton points that freeze on their own step), so a body's results do not
+depend on the other bodies of its stack.  A failure on one body raises
+`_BodyError`, which carries its index.
 """
 
 from __future__ import annotations
@@ -50,6 +52,9 @@ THETA_GRID = _read_only(np.arange(GRID_N) * (2.0 * math.pi / GRID_N))[0]
 # cos t, sin t and the unit normals on THETA_GRID
 _COS, _SIN = _read_only(np.cos(THETA_GRID), np.sin(THETA_GRID))
 _U_GRID = _read_only(np.stack([_COS, _SIN], axis=-1))[0]
+# the maximin LP's rows [u, 1] on THETA_GRID, and cos t and sin t as Python floats
+_GRID_ROWS = (_read_only(np.column_stack([_U_GRID, np.ones(GRID_N)]))[0],
+              _COS.tolist(), _SIN.tolist())
 
 
 class _BodyError(ValueError):
@@ -146,127 +151,140 @@ def _maximin_lp(a_dirs, b_vals):
     rounding in the slacks, whatever the scale of the body, with lam_B >=
     0: primal and dual feasibility certify that t is the maximum.  The
     basis rows count as tight, so their rounding residue never picks one
-    of them to enter again.  The bodies pivot together, each with its own
-    (3, 3) basis inverse (by cofactors), done flag and stall counter, and
-    every product is per body.  Raises ValueError (naming the body) on
-    non-finite data, a start basis that does not span, or a pivot count
-    above the number of rows.
+    of them to enter again.  The bodies are solved one after another
+    (`_lp_body`), so a body's result does not depend on its stack.
+    Raises ValueError (naming the body) on non-finite data, a start basis
+    that does not span, or a pivot count above the number of rows.
     """
     h = np.asarray(b_vals, float)
+    rows, xs, ys = _lp_rows(a_dirs)
     n = h.shape[1]
-    rows = np.column_stack([a_dirs, np.ones(n)])
     finite = np.isfinite(h).all(axis=1) & bool(np.isfinite(rows).all())
     if not finite.all():
         raise _BodyError(np.argmin(finite), "support maximin LP: non-finite support values")
     start = [0, n // 3, 2 * n // 3]
-    m_inv, det = (a[0] for a in _inverse3(rows[start][None]))
+    cof, det = _basis_cofactors(xs, ys, start)
     if not abs(det) > 1e-12:
         raise _BodyError(0, "support maximin LP: singular start basis (rows 0, n//3, 2n//3)")
-    if m_inv[2].min() < 0.0:
+    if min(c[2] / det for c in cof) < 0.0:
         raise _BodyError(0, "support maximin LP: the start rows 0, n//3, 2n//3 "
                             "do not positively span the plane")
     n_bodies = h.shape[0]
     o, t = np.empty((n_bodies, 2)), np.empty(n_bodies)
-    basis, lam_out = np.empty((n_bodies, 3), int), np.empty((n_bodies, 3))
-    rows_t = np.ascontiguousarray(rows.T)
-    # the live bodies' rows: stack index, data, basis, basis inverse, stall count
-    live, hl, h_size = np.arange(n_bodies), h, np.abs(h).max(axis=1)
-    bs, mi = np.tile(start, (n_bodies, 1)), np.tile(m_inv, (n_bodies, 1, 1))
-    stall = np.zeros(n_bodies)
-    for _ in range(n):
-        at = np.arange(live.size)
-        hb = hl[at[:, None], bs]
-        # (o, t) with the basis rows tight, and the basis weights:
-        # rows[basis].T @ lam = (0, 0, 1)
-        x = np.matmul(mi, hb[:, :, None])[:, :, 0]
-        lam = mi[:, 2]
-        slack = hl - np.matmul(x[:, None, :], rows_t)[:, 0]
-        # the basis rows are tight by construction: their rounding residue
-        # must not let one of them enter again, which cycles on dense grids
-        slack[at[:, None], bs] = 0.0
-        tol = _LP_TOL * (h_size + _norms(x))
-        enter = np.argmin(slack, axis=1)
-        done = ~(slack[at, enter] < -tol)
-        if done.any():
-            if (lam[done].min(axis=1) < -_LP_TOL).any():
-                raise _BodyError(live[done][np.argmin(lam[done].min(axis=1))],
-                                 "support maximin LP: a basis weight went negative")
-            fin = live[done]
-            o[fin], t[fin], basis[fin], lam_out[fin] = x[done, :2], x[done, 2], bs[done], lam[done]
-            if done.all():
-                return o, t, basis, lam_out
-            keep = ~done
-            live, hl, h_size, bs, mi, stall, slack, tol, enter, lam = (
-                a[keep] for a in (live, hl, h_size, bs, mi, stall, slack, tol, enter, lam))
-            at = np.arange(live.size)
-        bland = stall >= _LP_BLAND_AFTER
-        if bland.any():
-            enter[bland] = np.argmax(slack[bland] < -tol[bland, None], axis=1)
-        r = rows[enter]  # rows[enter] = sum_i w_i rows[basis[i]]
-        w = np.matmul(r[:, None, :], mi)[:, 0]
-        pos = w > _LP_PIVOT_TOL
-        ratio = np.where(pos, np.maximum(lam, 0.0) / np.where(pos, w, 1.0), np.inf)
-        step = ratio.min(axis=1)
-        if not np.isfinite(step).all():
-            raise _BodyError(live[np.argmin(np.isfinite(step))],
-                             "support maximin LP: no basis row can leave (unbounded dual)")
-        leave = np.argmin(ratio, axis=1)
-        if bland.any():
-            lowest = np.where(ratio[bland] <= step[bland, None], bs[bland], n)
-            leave[bland] = np.argmin(lowest, axis=1)
-        stall = np.where(step <= _LP_TOL, stall + 1.0, 0.0)
-        bs[at, leave] = enter
-        mi = _inverse3(rows[bs])[0]
-    raise _BodyError(live[0], f"support maximin LP: no optimum after {n} pivots")
+    basis, lam = np.empty((n_bodies, 3), int), np.empty((n_bodies, 3))
+    for k, size in enumerate(np.abs(h).max(axis=1).tolist()):
+        o[k], t[k], basis[k], lam[k] = _lp_body(k, rows, xs, ys, h[k], size, start)
+    return o, t, basis, lam
 
 
-_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
+def _lp_rows(a_dirs):
+    """The LP's rows [u_j, 1] as an (n, 3) array, and the u_j's coordinates as two lists."""
+    if a_dirs is _U_GRID:
+        return _GRID_ROWS
+    a = np.asarray(a_dirs, float)
+    return np.column_stack([a, np.ones(len(a))]), a[:, 0].tolist(), a[:, 1].tolist()
 
 
-def _inverse3(m):
-    """Inverses (NaN where singular) and determinants of 3 x 3 matrices (L, 3, 3), by cofactors.
+def _basis_cofactors(xs, ys, basis):
+    """Cofactor rows C_i and determinant of the basis matrix, rows (x_j, y_j, 1) for j in basis.
 
-    Not numpy's LAPACK inverse: its first call adds about 0.6 MB to the
-    resident memory of a process, and the process that runs `verify`
-    checks a share of the bodies itself.
+    The inverse's column i is C_i / det, so with the basis rows tight
+    (o, t) = sum_i h_i C_i / det, the weights are lam_i = C_i[2] / det,
+    and a row r = (x, y, 1) is sum_i w_i rows[basis[i]] for w_i = <r, C_i> / det.
     """
-    p, q = m[:, _NEXT], m[:, _AFTER]
-    # row i of the cofactors: m_i+1 x m_i+2
-    cof = p[:, :, _NEXT] * q[:, :, _AFTER] - p[:, :, _AFTER] * q[:, :, _NEXT]
-    det = (m[:, 0] * cof[:, 0]).sum(axis=-1)
-    # in C order, which keeps the batched products that use it independent of the batch size
-    cof = np.ascontiguousarray(cof.transpose(0, 2, 1))
-    return cof / np.where(det != 0.0, det, np.nan)[:, None, None], det
+    (ax, bx, cx), (ay, by, cy) = [xs[j] for j in basis], [ys[j] for j in basis]
+    cof = ((by - cy, cx - bx, bx * cy - by * cx),
+           (cy - ay, ax - cx, ay * cx - ax * cy),
+           (ay - by, bx - ax, ax * by - ay * bx))
+    return cof, ax * cof[0][0] + ay * cof[0][1] + cof[0][2]
+
+
+def _lp_body(k, rows, xs, ys, hk, size, start):
+    """`_maximin_lp` for body k of data hk, from the start basis: ((o_x, o_y), t, basis, lam).
+
+    The basis, its inverse and the ratio test are scalars; a pivot's only
+    array work is the slack h - rows @ (o, t) over the n rows and its argmin.
+    """
+    n = len(xs)
+    basis, stall = list(start), 0
+    for _ in range(n):
+        cof, det = _basis_cofactors(xs, ys, basis)
+        inv = 1.0 / det if det != 0.0 else math.nan
+        h0, h1, h2 = (hk.item(j) for j in basis)
+        c0, c1, c2 = cof
+        x0 = (c0[0] * h0 + c1[0] * h1 + c2[0] * h2) * inv
+        x1 = (c0[1] * h0 + c1[1] * h1 + c2[1] * h2) * inv
+        x2 = (c0[2] * h0 + c1[2] * h1 + c2[2] * h2) * inv
+        lam = [c0[2] * inv, c1[2] * inv, c2[2] * inv]
+        slack = hk - rows @ (x0, x1, x2)
+        tol = _LP_TOL * (size + math.hypot(x0, x1))
+        enter = int(slack.argmin())
+        if enter in basis:
+            # the basis rows are tight by construction: their rounding residue
+            # must not let one of them enter again, which cycles on dense grids
+            slack[basis] = 0.0
+            enter = int(slack.argmin())
+        if not slack.item(enter) < -tol:
+            if min(lam) < -_LP_TOL:
+                raise _BodyError(k, "support maximin LP: a basis weight went negative")
+            return (x0, x1), x2, basis, lam
+        bland = stall >= _LP_BLAND_AFTER
+        if bland:
+            slack[basis] = 0.0
+            enter = int(np.argmax(slack < -tol))
+        x, y = xs[enter], ys[enter]  # the row is sum_i w_i rows[basis[i]]
+        ratio = []
+        for c, lam_i in zip(cof, lam):
+            w = (x * c[0] + y * c[1] + c[2]) * inv
+            ratio.append(max(lam_i, 0.0) / w if w > _LP_PIVOT_TOL else math.inf)
+        step = min(ratio)
+        if not math.isfinite(step):
+            raise _BodyError(k, "support maximin LP: no basis row can leave (unbounded dual)")
+        if bland:
+            leave = min((i for i in range(3) if ratio[i] <= step), key=basis.__getitem__)
+        else:
+            leave = ratio.index(step)
+        stall = stall + 1 if step <= _LP_TOL else 0
+        basis[leave] = enter
+    raise _BodyError(k, f"support maximin LP: no optimum after {n} pivots")
 
 
 _NEWTON_ITERS = 8  # contact Newton steps; the corpus converges in at most four
-_NEWTON_STEP_TOL = 1e-15  # a center step below this (max |h| + |o|) has converged
+_NEWTON_STEP_TOL = 1e-15  # a center step and slopes below this (max |h| + |o|) have converged
 _ACTIVE_WEIGHT = 1e-9  # LP weights above this mark the active contacts
 _CERT_TOL = 1e-12  # accepted certificate gap, relative to max |h| + |o|
 _EXCHANGE_ROUNDS = 4  # exchange rounds after the first certificate fails
+_SAME_BRANCH = math.sin(0.5 * 1.01 * _GRID_STEP)  # seeds closer than a grid step merge
 
 
 def _contact_newton(stack, body, thetas, lam, o, t, size):
-    """Newton on (o, t, lam) for h(theta_i) - <o, u_i> = t, sum lam_i u_i = 0, sum lam_i = 1.
+    """Joint Newton on (o, t, lam, theta): the optimality conditions of the contacts theta_i.
 
-    The seeds (body, thetas, lam) are points grouped by body; o, t and
-    size are per body of the stack.  theta_i(o) is the exact gap minimum
-    next to each seed, refined at every step; a body's seeds on one branch
-    merge, and at most three contacts, the heaviest, stay.  With d theta_i
-    / d o = u_perp_i / f''_i the Jacobian rows are [-u_i, -1, 0], [sum
-    lam_i u_perp_i u_perp_i^T / f''_i, 0, U^T] and [0, 0, 1^T], for a
-    ridge pair and a triple alike; the bodies with two and with three
-    contacts each take one batched step (`_kkt_step`) per iteration.  A
-    body stops after a center step below _NEWTON_STEP_TOL (size + |o|),
-    contacts refined at the final center.  Returns (solved, o, contacts): solved marks the bodies whose
-    Newton ran through, o has their new centers, and contacts = (body,
-    thetas, lam) lists their contacts.  A body fails with fewer than two
-    contacts, a contact without curvature, or a singular step.
+    With the gap f = h - <o, u>, the conditions are f(theta_i) = t,
+    f'(theta_i) = 0, sum lam_i u_i = 0 and sum lam_i = 1.  The seeds
+    (body, thetas, lam) are points grouped by body; o, t and size are per
+    body of the stack.  A body's seeds within one grid step
+    of each other lie on one branch of the gap (the grid resolves no
+    finer), so they merge, and at most three contacts, the heaviest,
+    stay.  The contact angles move with the center in the same step:
+    linearizing f'(theta_i) = 0 gives d theta_i = (<u_perp_i, do> -
+    f'_i) / f''_i, and eliminating it leaves the Jacobian rows [-u_i, -1,
+    0], [sum lam_i u_perp_i u_perp_i^T / f''_i, 0, U^T] and [0, 0, 1^T],
+    for a ridge pair and a triple alike, with sum lam_i u_perp_i f'_i /
+    f''_i moved to the right-hand side (the f'_i d theta_i term of the
+    contact rows is second order, and dropped).  So a step takes one jet
+    evaluation, and the bodies with two and with three contacts each take
+    one batched step (`_kkt_step`) per iteration.  A body stops after a
+    step whose center step and contact slopes |f'_i| are all below
+    _NEWTON_STEP_TOL (size + |o|).  Returns (solved, o, contacts): solved
+    marks the bodies whose Newton ran through, o has their new centers,
+    and contacts = (body, thetas, lam) lists their contacts.  A body fails
+    with fewer than two contacts, a contact without curvature, or a
+    singular step.
     """
     o = o.copy()
-    thetas, _ = _refine_gap(stack, body, thetas, o, 0.05)
-    # seeds within 1e-6 of each other, modulo 2 pi, on one body
-    same = (np.abs(np.sin(0.5 * (thetas[:, None] - thetas))) <= math.sin(0.5e-6)) & (
+    # seeds within a grid step of each other, modulo 2 pi, on one body
+    same = (np.abs(np.sin(0.5 * (thetas[:, None] - thetas))) <= _SAME_BRANCH) & (
         body[:, None] == body)
     first = same.argmax(axis=1)  # the first seed on each one's branch
     keep = first == np.arange(thetas.size)
@@ -295,71 +313,98 @@ def _newton_group(stack, ks, thetas, lam, o, t, size):
     """`_contact_newton`'s steps for the bodies ks with m contacts each, in place.
 
     thetas and lam are (len(ks), m), o is per body of the stack, t and
-    size are per body of ks.  Returns the mask of the bodies that did not fail.
+    size are per body of ks.  Each contact is a pair of (cos, sin) arrays,
+    one row per body, so a step is a few dozen array operations whatever
+    the number of bodies.  Returns the mask of the bodies that did not fail.
     """
     g, m = thetas.shape
+    at = stack.jet(np.repeat(ks, m))  # h, h' and rho at the contacts
+    points = np.arange(g * m).reshape(g, m)
     ok = np.ones(g, bool)
     live = np.arange(g)
     for _ in range(_NEWTON_ITERS):
-        body = np.repeat(ks[live], m)
-        f, _, rho = stack.jet(body, o[body])(thetas[live].ravel())[:3]
-        f, curv = f.reshape(-1, m), (rho - f).reshape(-1, m)
-        good = curv.min(axis=1) > 0.0  # NaN fails too
-        ok[live[~good]] = False
-        live, f, curv = live[good], f[good], curv[good]
         if not live.size:
             break
-        th, lm = thetas[live], lam[live]
-        u = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        u_perp = np.stack([-u[..., 1], u[..., 0]], axis=-1)
-        weighted = u_perp * (lm / curv)[..., None]
-        a = (weighted[..., :, None] * u_perp[..., None, :]).sum(axis=1)
-        delta, det = _kkt_step(u, a, f - t[live, None], (u * lm[..., None]).sum(axis=1),
-                               lm.sum(axis=1) - 1.0)
-        ok[live[det == 0.0]] = False
-        live, delta = live[det != 0.0], delta[det != 0.0]
-        k = ks[live]
-        o[k] += delta[:, :2]
-        t[live] += delta[:, 2]
-        lam[live] += delta[:, 3:]
-        body = np.repeat(k, m)
-        thetas[live] = _refine_gap(stack, body, thetas[live].ravel(), o, 0.05)[0].reshape(-1, m)
-        step = np.hypot(delta[:, 0], delta[:, 1])
+        k, th = ks[live], thetas[live]
+        h, h_prime, rho = (a.reshape(-1, m) for a in at(th.ravel(), points[live].ravel())[:3])
+        cos, sin = np.cos(th), np.sin(th)
+        ox, oy = o[k, :1], o[k, 1:]
+        f = h - (ox * cos + oy * sin)  # the gap and its derivatives at the contacts
+        f_prime = h_prime + (ox * sin - oy * cos)
+        curv = rho - f
+        good = curv.min(axis=1) > 0.0  # NaN fails too
+        if not good.all():
+            ok[live[~good]] = False
+            live, k, th, cos, sin, f, f_prime, curv = (
+                a[good] for a in (live, k, th, cos, sin, f, f_prime, curv))
+        lm = lam[live]
+        w = lm / curv
+        w_sin, w_cos, w_f = w * sin, w * cos, w * f_prime
+        # A = sum_i w_i u_perp_i u_perp_i^T with u_perp = (-sin, cos), and the
+        # residual sum_i lam_i u_i - w_i f'_i u_perp_i
+        a_xx, a_xy, a_yy = (w_sin * sin).sum(axis=1), -(w_sin * cos).sum(axis=1), (
+            w_cos * cos).sum(axis=1)
+        res_x = (lm * cos + w_f * sin).sum(axis=1)
+        res_y = (lm * sin - w_f * cos).sum(axis=1)
+        do_x, do_y, dt, d_lam = _kkt_step(cos, sin, a_xx, a_xy, a_yy, res_x, res_y,
+                                          f - t[live, None], lm.sum(axis=1) - 1.0)
+        fine = np.isfinite(dt)
+        if not fine.all():
+            ok[live[~fine]] = False
+            live, k, th, cos, sin, f_prime, curv, do_x, do_y, dt, d_lam = (
+                a[fine] for a in (live, k, th, cos, sin, f_prime, curv, do_x, do_y, dt, d_lam))
+        o[k, 0] += do_x
+        o[k, 1] += do_y
+        t[live] += dt
+        lam[live] += d_lam
+        thetas[live] = th + (cos * do_y[:, None] - sin * do_x[:, None] - f_prime) / curv
+        step = np.maximum(np.hypot(do_x, do_y), np.abs(f_prime).max(axis=1))
         live = live[~(step <= _NEWTON_STEP_TOL * (size[live] + _norms(o[k])))]
     return ok
 
 
-def _mv(m, v):
-    """Products of 3 x 3 matrices and 3-vectors, one per row."""
-    return (m * v[:, None, :]).sum(axis=-1)
+_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])  # a triple's other two contacts
 
 
-def _kkt_step(u, a, res_f, res_u, res_s):
-    """The contact Newton step (o, t, lam) per body, and the determinant it divides by.
+def _kkt_step(cos, sin, a_xx, a_xy, a_yy, res_x, res_y, res_f, res_s):
+    """The contact Newton step (do_x, do_y, dt, dlam) per body, NaN where it is singular.
 
-    The Jacobian's rows give u_i.do + dt = res_f_i, A do + U^T dlam =
-    -res_u and 1^T dlam = -res_s.  For a triple B = [U 1] is square: B
-    (do, dt) = res_f, then B^T dlam = -(res_u + A do, res_s).  For a pair
-    d = u_1 - u_2 leaves [[A, d], [d^T, 0]] (do, dlam_1) = (res_s u_2 -
-    res_u, res_f_1 - res_f_2), and dt, dlam_2 follow.  The step is NaN
-    where the determinant is 0.
+    The contacts u_i = (cos, sin) are one row per body.  The Jacobian's
+    rows give u_i.do + dt = res_f_i, A do + U^T dlam = -res_u and 1^T dlam
+    = -res_s.  For a triple B = [U 1] is square, with the cofactor rows
+    C_i of `_basis_cofactors`: B (do, dt) = res_f gives (do, dt) = sum_i
+    res_f_i C_i / det, then B^T dlam = -(res_u + A do, res_s) gives dlam_i
+    = -<C_i, (res_u + A do, res_s)> / det.  For a pair d = u_1 - u_2
+    leaves the symmetric [[A, d], [d^T, 0]] (do, dlam_1) = (res_s u_2 -
+    res_u, res_f_1 - res_f_2), solved by its adjugate, and dt, dlam_2 follow.
     """
-    if u.shape[1] == 3:
-        inv, det = _inverse3(np.concatenate([u, np.ones(res_f.shape + (1,))], axis=-1))
-        do_dt = _mv(inv, res_f)
-        rhs = np.concatenate([res_u + (a * do_dt[:, None, :2]).sum(axis=-1), res_s[:, None]],
-                             axis=1)
-        d_lam = (inv * -rhs[:, :, None]).sum(axis=1)  # B^-T (-rhs)
-        return np.concatenate([do_dt, d_lam], axis=1), det
-    d = u[:, 0] - u[:, 1]
-    m = np.zeros((len(u), 3, 3))
-    m[:, :2, :2], m[:, :2, 2], m[:, 2, :2] = a, d, d
-    inv, det = _inverse3(m)
-    rhs = np.concatenate([res_s[:, None] * u[:, 1] - res_u, (res_f[:, 0] - res_f[:, 1])[:, None]],
-                         axis=1)
-    do_dl = _mv(inv, rhs)
-    dt = res_f[:, 0] - (u[:, 0] * do_dl[:, :2]).sum(axis=1)
-    return np.column_stack([do_dl[:, :2], dt, do_dl[:, 2], -res_s - do_dl[:, 2]]), det
+    if cos.shape[1] == 3:
+        x_next, x_after = cos[:, _NEXT], cos[:, _AFTER]
+        y_next, y_after = sin[:, _NEXT], sin[:, _AFTER]
+        c_x, c_y, c_1 = y_next - y_after, x_after - x_next, x_next * y_after - y_next * x_after
+        inv = 1.0 / _nonzero(c_1.sum(axis=1))
+        do_x, do_y, dt = ((c * res_f).sum(axis=1) * inv for c in (c_x, c_y, c_1))
+        q_x = res_x + a_xx * do_x + a_xy * do_y
+        q_y = res_y + a_xy * do_x + a_yy * do_y
+        d_lam = -(c_x * q_x[:, None] + c_y * q_y[:, None] + c_1 * res_s[:, None]) * inv[:, None]
+        return do_x, do_y, dt, d_lam
+    d_x, d_y = cos[:, 0] - cos[:, 1], sin[:, 0] - sin[:, 1]
+    b_x, b_y = res_s * cos[:, 1] - res_x, res_s * sin[:, 1] - res_y
+    e = res_f[:, 0] - res_f[:, 1]
+    # the adjugate of the symmetric [[a_xx, a_xy, d_x], [a_xy, a_yy, d_y], [d_x, d_y, 0]]
+    s_xx, s_xy, s_yy = -d_y * d_y, d_x * d_y, -d_x * d_x
+    s_xd, s_yd, s_dd = a_xy * d_y - a_yy * d_x, a_xy * d_x - a_xx * d_y, a_xx * a_yy - a_xy * a_xy
+    inv = 1.0 / _nonzero(a_xx * s_xx + a_xy * s_xy + d_x * s_xd)
+    do_x = (s_xx * b_x + s_xy * b_y + s_xd * e) * inv
+    do_y = (s_xy * b_x + s_yy * b_y + s_yd * e) * inv
+    d_lam1 = (s_xd * b_x + s_yd * b_y + s_dd * e) * inv
+    dt = res_f[:, 0] - (cos[:, 0] * do_x + sin[:, 0] * do_y)
+    return do_x, do_y, dt, np.column_stack([d_lam1, -res_s - d_lam1])
+
+
+def _nonzero(det):
+    """det with NaN where it is 0: a singular step comes out NaN, without a warning."""
+    return np.where(det != 0.0, det, np.nan)
 
 
 def _certify(stack, ks, contacts, cuts, o, t, size, h_max):

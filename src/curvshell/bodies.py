@@ -44,7 +44,14 @@ from . import _flat
 from ._flat import GRID_N, THETA_GRID, _read_only
 from ._optim import local_extrema_mask, refine_critical_points
 from .geometry import PinchSpec, SpaceCurvature, curvature_from_sphere_radius
-from .spindle import _ProfileBody, ProfileCurve, SpindleSpec, _inscribed_revolution, build_spindle
+from .spindle import (
+    _ProfileBody,
+    ProfileCurve,
+    SpindleSpec,
+    _inscribed_revolution,
+    build_spindle,
+    require_tangent_joins,
+)
 
 # highest harmonic of the random generator: more than two grid samples per
 # period of the top mode, and mode tables of at most 2048 x 2050 floats
@@ -340,15 +347,9 @@ class ArcSupportCurve(_SupportCurve, _ProfileBody):
     def __init__(self, profile: ProfileCurve):
         if not profile.space.is_flat:
             raise ValueError("arc support curves are flat-geometry bodies")
+        require_tangent_joins(profile, "arc support curves")
         arcs = profile.segments
         turns = [math.atan2(arc.frame_u[1], arc.frame_u[0]) for arc in arcs]
-        for i, (arc, w) in enumerate(zip(arcs, turns)):
-            j = (i + 1) % len(arcs)
-            jump = abs((arcs[j].theta_start + turns[j] - arc.theta_end - w + math.pi)
-                       % (2.0 * math.pi) - math.pi)
-            if jump > 1e-9:
-                raise ValueError(f"arc support curves need tangent joins: the normal angle "
-                                 f"jumps by {jump:.6g} rad from arc {i} to arc {j}")
         # normal angles of each arc's start and middle (where rho_range reports it)
         starts, mids = np.mod([[arc.theta_start + w, arc.theta_start + 0.5 * arc.span + w]
                                for arc, w in zip(arcs, turns)], 2.0 * math.pi).T
@@ -435,7 +436,12 @@ class RevolutionBody(_ProfileBody):
         return cls(build_spindle(spec))
 
     def rho_range(self) -> tuple:
-        """(min, max, nan, nan): the arc radii; a meridian has no normal-angle parameter."""
+        """(min, max, nan, nan): the arc radii; a meridian has no normal-angle parameter.
+
+        A corner has no curvature radius, so a profile with one raises
+        ValueError naming its first corner (`require_tangent_joins`).
+        """
+        require_tangent_joins(self.profile, "revolution bodies")
         radii = [seg.radius for seg in self.profile.segments]
         return min(radii), max(radii), math.nan, math.nan
 

@@ -28,11 +28,20 @@ def profile_xy(profile: ProfileCurve, n: int = 1024):
 
 
 def write_profile_csv(profile: ProfileCurve, path, n: int = 1024) -> None:
-    """Sampled profile as 'x,y,kappa' rows (azimuthal-equidistant for curved)."""
+    """Sampled profile as 'x,y,kappa' rows (azimuthal-equidistant for curved).
+
+    Every float is written by repr; a segment's curvature tag is formatted
+    once for its run of rows, found by the tag's bits (so 0.0 and -0.0 stay apart).
+    """
     xy, tags = profile_xy(profile, n)
-    rows = np.column_stack([xy, tags]).tolist()
+    bits = tags.view(np.int64)
+    first = np.flatnonzero(np.concatenate([[True], bits[1:] != bits[:-1]])).tolist()
+    rows, lines = xy.tolist(), ["x,y,kappa\n"]
+    for a, b, kap in zip(first, first[1:] + [len(rows)], tags[first].tolist()):
+        tail = f",{kap!r}\n"
+        lines += [f"{x!r},{y!r}{tail}" for x, y in rows[a:b]]
     with open(path, "w") as fh:
-        fh.write("x,y,kappa\n" + "".join(f"{x!r},{y!r},{kap!r}\n" for x, y, kap in rows))
+        fh.write("".join(lines))
 
 
 def profile_svg(profile: ProfileCurve, n: int = 1024, size: int = 640) -> str:

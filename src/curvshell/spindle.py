@@ -352,24 +352,46 @@ def _inscribed_revolution(profile: ProfileCurve):
     return axis_points(space, t), -neg_g
 
 
-def join_tangent_mismatch(profile: ProfileCurve) -> float:
-    """Largest positional gap / tangent angle between consecutive segments.
+def join_jumps(profile: ProfileCurve):
+    """(gaps, angles, scales) per join of arc i to arc i + 1 (cyclically).
 
+    The gap is the distance from arc i's end point to arc i + 1's start
+    point, and the angle is between the two arcs' unit tangents there.
     Both are measured in forms that stay accurate near zero (chordal gap,
     half-chord angle), so machine-exact joins report ~1e-16, not the
-    sqrt(eps) floor of acos."""
+    sqrt(eps) floor of acos.  The scale, the end point's norm plus arc i's
+    radius, is the size of the gap's rounding in every model."""
     space = profile.space
     segs = profile.segments
-    worst = 0.0
+    gaps, angles, scales = [], [], []
     for i, seg in enumerate(segs):
         nxt = segs[(i + 1) % len(segs)]
         p_end = arc_point(space, seg, seg.theta_end)
         p_start = arc_point(space, nxt, nxt.theta_start)
-        gap = float(np.linalg.norm(p_end - p_start))
+        gaps.append(float(np.linalg.norm(p_end - p_start)))
+        scales.append(float(np.linalg.norm(p_end)) + seg.radius)
         t_end = arc_tangent(space, seg, seg.theta_end)
         t_start = arc_tangent(space, nxt, nxt.theta_start)
         delta = t_end - t_start
         half_chord = 0.5 * math.sqrt(max(float(tangent_inner(space, delta, delta)), 0.0))
-        ang = 2.0 * math.asin(min(half_chord, 1.0))
-        worst = max(worst, gap, ang)
-    return worst
+        angles.append(2.0 * math.asin(min(half_chord, 1.0)))
+    return np.array(gaps), np.array(angles), np.array(scales)
+
+
+def join_tangent_mismatch(profile: ProfileCurve) -> float:
+    """Largest positional gap / tangent angle between consecutive segments (`join_jumps`)."""
+    gaps, angles, _ = join_jumps(profile)
+    return max(0.0, float(gaps.max()), float(angles.max()))
+
+
+def require_tangent_joins(profile: ProfileCurve, what: str) -> None:
+    """Refuse a profile with a corner: ValueError naming the first join whose
+    normal angle or relative position jumps by more than 1e-9 (`join_jumps`)."""
+    gaps, angles, scales = join_jumps(profile)
+    rel = gaps / scales
+    broken = np.flatnonzero((rel > 1e-9) | (angles > 1e-9))
+    if broken.size:
+        i = int(broken[0])
+        raise ValueError(f"{what} need tangent joins: there is a corner from arc {i} to arc "
+                         f"{(i + 1) % gaps.size}, where the normal angle jumps by "
+                         f"{angles[i]:.6g} rad and the position by {rel[i]:.3g} (relative)")

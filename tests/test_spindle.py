@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from curvshell.bounds import outer_radius_bound, quotient_bound, quotient_maximizer, width_bound
-from curvshell.export import profile_svg, profile_xy
+from curvshell.export import profile_svg, profile_xy, write_profile_csv
 from curvshell.geometry import (
     PinchSpec,
     SpaceCurvature,
@@ -338,3 +338,19 @@ class TestSvg:
             xy, _ = profile_xy(profile, 257)
             want = " L ".join(f"{x:.6f} {y:.6f}" for x, y in zip(xy[:, 0], -xy[:, 1]))
             assert f'<path d="M {want} Z"' in profile_svg(profile, n=257)
+
+
+class TestCsv:
+    @pytest.mark.parametrize("space,k1,k2", [(FLAT, 1.0, 2.0), (SPHERE, 1.0, 2.0), (HYPER, 2.0, 3.0)])
+    def test_rows_match_per_row_formatting(self, space, k1, k2, tmp_path):
+        # the curvature tag is formatted once per segment, and the file holds
+        # the bytes of a repr of every float of every row
+        p = PinchSpec.from_curvatures(space, k1, k2)
+        path = tmp_path / "profile.csv"
+        for r_t in np.linspace(p.r2, p.r1, 5):
+            profile = build_spindle(SpindleSpec(space, p, float(r_t)))
+            xy, tags = profile_xy(profile, 257)
+            rows = np.column_stack([xy, tags]).tolist()
+            want = "x,y,kappa\n" + "".join(f"{x!r},{y!r},{kap!r}\n" for x, y, kap in rows)
+            write_profile_csv(profile, path, n=257)
+            assert path.read_bytes() == want.encode()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -38,6 +39,7 @@ from curvshell.spindle import (
     Arc,
     ProfileCurve,
     SpindleSpec,
+    build_spindle,
     profile_extreme_dists,
     sample_profile,
     spindle_radii,
@@ -137,6 +139,18 @@ class TestMaximinLP:
         body = random_pinched_curve(PinchSpec.from_curvatures(FLAT, 1.0, 5.0), seed=0)
         self.assert_optimal(unit_vectors(thetas), body.h(thetas))
 
+    @pytest.mark.parametrize("size", [6, 64])
+    def test_stack_matches_lone(self, size):
+        # each body of a stack is solved alone: its (o, t, basis, lam) are
+        # bit for bit those of the same data solved as a stack of one
+        h = random_pinched_stack(PinchSpec.from_curvatures(FLAT, 1.0, 5.0),
+                                 range(100, 100 + size)).grid[0]
+        stacked = _maximin_lp(flat._U_GRID, h)
+        for k in range(size):
+            lone = _maximin_lp(flat._U_GRID, h[k:k + 1])
+            for got, want in zip(stacked, lone):
+                assert np.array_equal(got[k], want[0])
+
     def test_named_failures(self):
         h = np.ones(GRID)
         with pytest.raises(ValueError, match="non-finite"):
@@ -213,6 +227,36 @@ class TestInscribedBall:
         _inscribed_support(body.stack)
         assert tables and set(tables) == {(GRID, body.rho_cos.size)}
         assert jet_sizes and max(jet_sizes) < GRID
+
+    def test_lone_body_work(self, monkeypatch):
+        # a lone body's center on 30 bodies at the bench pinches: the LP forms
+        # one basis inverse per basis it visits (and one to check the start),
+        # and the contact Newton one jet evaluation per step.  The code reads
+        # medians 9 and 15 (sums 278 and 447); the bounds leave room for a step
+        # more or less where the stopping tests meet rounding in sin/cos or in
+        # summation order.  A Newton that refined its contact angles to
+        # convergence after every step took a median of 23 evaluations (sum 669)
+        jet, cofactors, jets, inverses = TrigStack.jet, flat._basis_cofactors, [], []
+
+        def jet_spy(self, body, centers=None):
+            at = jet(self, body, centers)
+            return lambda t, sel=None: jets.append(1) or at(t, sel)
+
+        monkeypatch.setattr(TrigStack, "jet", jet_spy)
+        monkeypatch.setattr(flat, "_basis_cofactors",
+                            lambda *a: inverses.append(1) or cofactors(*a))
+        per_body = []
+        for k2 in (1.1, 2.0, 5.0):
+            pinch = PinchSpec.from_curvatures(FLAT, 1.0, k2)
+            for seed in range(10):
+                stack = random_pinched_curve(pinch, seed=seed).stack
+                jets.clear()
+                inverses.clear()
+                stack.inscribed()
+                per_body.append((len(jets), len(inverses)))
+        n_jets, n_inverses = np.array(per_body).T
+        assert np.median(n_jets) <= 10 and n_jets.sum() <= 320
+        assert np.median(n_inverses) <= 17 and n_inverses.sum() <= 500
 
     @pytest.mark.parametrize("lam", [1e-12, 1e-6, 1e-3, 1e3, 1e6, 1e12])
     def test_scale_relative_polish(self, lam):
@@ -630,6 +674,32 @@ class TestCheckBounds:
         res = check_bounds(ArcSupportCurve(profile), pinch)
         assert res.outer_R == profile_extreme_dists(profile, res.center)[1]
         assert res.outer_R == check_bounds(RevolutionBody(profile), pinch).outer_R
+
+    def test_revolution_corners_fail_the_precondition(self):
+        # the cut lens has three corners; its arc radii alone are pinched in
+        # (1, 5), but the curvature at a corner is unbounded
+        profile = cut_lens_profile()[0]
+        with pytest.raises(ValueError, match="corner from arc 0 to arc 1, where the normal "
+                                             r"angle jumps by 0\.283794 rad"):
+            check_bounds(RevolutionBody(profile), PinchSpec.from_curvatures(FLAT, 1.0, 5.0))
+
+    @pytest.mark.parametrize("space,k1,k2", [(FLAT, 1.0, 2.0), (SPHERE, 1.0, 2.0),
+                                             (HYPER, 2.0, 3.0)])
+    def test_turned_arc_is_a_corner(self, space, k1, k2):
+        # turning the spindle's first main arc along its circle breaks both of
+        # its joins, in position and normal angle alike; the spindle passes
+        pinch = PinchSpec.from_curvatures(space, k1, k2)
+        profile = build_spindle(SpindleSpec(space, pinch, 0.5 * (pinch.r1 + pinch.r2)))
+        assert check_bounds(RevolutionBody(profile), pinch).satisfied.all_ok
+        for turn in (1e-8, -1e-6):
+            arc = profile.segments[1]
+            turned = dataclasses.replace(arc, theta_start=arc.theta_start + turn,
+                                         theta_end=arc.theta_end + turn)
+            segments = profile.segments[:1] + (turned,) + profile.segments[2:]
+            body = RevolutionBody(dataclasses.replace(profile, segments=segments))
+            with pytest.raises(ValueError, match="corner from arc 0 to arc 1"):
+                check_bounds(body, pinch)
+            assert body.inscribed()[1][0] > 0.0  # the body still answers its shell
 
     def test_pinch_violation_raises(self):
         body = random_pinched_curve(PINCH_12, seed=0)
