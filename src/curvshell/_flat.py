@@ -12,22 +12,32 @@ here in two steps.  The linear maximin over the 2048 support directions
 is solved exactly by a primal simplex on its 3-row dual, one body at a
 time with its basis in scalars, and certified by primal and dual
 feasibility of the final basis.  Its rows of positive dual weight, an
-antipodal pair or a spanning triple, seed one joint Newton on the
-contacts' optimality conditions, in the center, radius, weights and
-contact angles together, certified by weak duality to 1e-12 (max|h| +
-|o|) if the grid scan finds every branch of the gap; a body whose
-certificate fails reseeds the Newton alone with the gap minima at its
-center.  A ball about the LP center needs no Newton.  The circumscribed
-radius Newton-polishes the largest grid distances from the center, using
-the exact derivatives of the boundary along its normal angle.
+antipodal pair or a spanning triple, seed one joint Newton per body on
+the contacts' optimality conditions, in the center, radius, weights and
+contact angles together, also in scalars.  Weak duality certifies the
+result to 1e-12 (max|h| + |o|) if the grid scan finds every branch of
+the gap.  A body whose certificate fails runs exchange rounds alone:
+each solves the LP again with rows at the exact angles of its contacts
+and of the gap minima at its center, and reruns the Newton from that
+LP's active rows and the least gap minimum.  A ball about the LP center needs no Newton.  The
+circumscribed radius Newton-polishes the largest grid distances from
+the center, using the exact derivatives of the boundary along its
+normal angle.
+
+Every grid scan (the gap minima here, the largest distances, and the
+curvature radius range in `bodies`) polishes only the grid extrema that
+a bound on the second derivative lets reach the grid's extreme between
+two grid points (`_reach`); no other can win.  The gap minima on the
+branches of converged contacts are not polished again: the contacts
+are their minima.
 
 Per-body arrays have one row per body of the stack, a set of bodies is
 an index array `ks` into it, and per-point arrays carry `body`, the
-stack index of each point's body.  The LP runs body by body, and every
-batched operation acts on one body or one point at a time (per-body
-matrix products, per-point jets, per-row closed-form Newton steps, and
-Newton points that freeze on their own step), so a body's results do not
-depend on the other bodies of its stack.  A failure on one body raises
+stack index of each point's body.  The LP and the contact Newton run
+body by body, and every batched operation acts on one body or one point
+at a time (per-body matrix products, per-point jets, and Newton points
+that freeze on their own step), so a body's results do not depend on
+the other bodies of its stack.  A failure on one body raises
 `_BodyError`, which carries its index.
 """
 
@@ -37,7 +47,7 @@ import math
 
 import numpy as np
 
-from ._optim import local_extrema_mask, refine_critical_points
+from ._optim import grid_extrema, refine_critical_points
 
 GRID_N = 2048  # support directions of the grid scans and the LP
 
@@ -66,6 +76,7 @@ class _BodyError(ValueError):
 
 
 _GRID_STEP = 2.0 * math.pi / GRID_N
+_ROUND_ULPS = 16  # rounding of a grid value, in ulps of its body's scale
 
 
 def _norms(o):
@@ -78,10 +89,18 @@ def _gap_grid(stack, centers, ks):
     return stack.grid[0][ks] - (_COS * o[:, :1] + _SIN * o[:, 1:])
 
 
-def _is_ball(f_grid, centers):
-    """Per row: whether the gap is flat to its rounding, 1e-13 (max |gap| + |o|): a ball."""
-    scale = np.abs(f_grid).max(axis=1) + _norms(centers)
-    return np.ptp(f_grid, axis=1) <= 1e-13 * scale
+_BALL_TOL = 1e-13  # a gap flat to this (max |gap| + |o|) is a ball about its center
+
+
+def _gap_range(f_grid, o):
+    """(least, scale, ball) per row of gaps at the centers o.
+
+    scale = max |gap| + |o| sizes the gaps' rounding, and ball marks the
+    rows flat to _BALL_TOL of it: bodies that are balls about their centers.
+    """
+    low, high = f_grid.min(axis=1), f_grid.max(axis=1)
+    scale = np.maximum(high, -low) + _norms(o)
+    return low, scale, high - low <= _BALL_TOL * scale
 
 
 def _refine_gap(stack, body, thetas, centers, halfwidth):
@@ -98,35 +117,61 @@ def _refine_gap(stack, body, thetas, centers, halfwidth):
     return refine_critical_points(derivs, thetas, halfwidth), at
 
 
-def _support_gap_minima(stack, centers, ks=None):
-    """Newton-refined local minima of the support gaps at the centers (one row per body).
+def _reach(l2, scale):
+    """How far a function with |f''| <= l2 can pass its nearer grid value between grid points.
+
+    On a grid interval f >= min(f_j, f_j+1) - l2 d^2 / 8 for the grid
+    step d, and f <= max(f_j, f_j+1) + l2 d^2 / 8; _ROUND_ULPS ulps of
+    scale (per body) cover the rounding of the grid values.
+    """
+    return l2 * (_GRID_STEP * _GRID_STEP / 8.0) + _ROUND_ULPS * np.finfo(float).eps * scale
+
+
+def _support_gap_minima(stack, centers, ks=None, held=None):
+    """Local minima of the support gaps at the centers (one row per body) that can be the least.
 
     For the bodies ks (all by default) returns (gmin, body, thetas,
-    values): per body of ks the least gap value found, and the refined
-    grid local minima in grid order, grouped by body; several of them may
-    lie on one branch of the gap.  On a ball about its center (`_is_ball`)
-    the gap is flat and f'' ~ 0 gives Newton nothing to refine, so its
-    unrefined grid minimum is the only one.
+    values): per body of ks the least gap value found, and its candidate
+    minima in grid order, grouped by body: the grid local minima within
+    `_reach` of the body's least grid gap, for the bound `gap_bounds` on
+    |f''|; no other grid interval reaches below that value.  Each is
+    Newton-refined, but for one at a grid point next to a held contact
+    (lists body, thetas, values of points where the contact Newton already
+    made f' vanish), which takes the contact's angle and value; a branch
+    has its grid minimum at one of the two grid points around its
+    minimum.  A refined value replaces its grid value only where it is no
+    larger.  On a ball about its center (`_gap_range`) the gap is flat and
+    f'' ~ 0 gives Newton nothing to refine, so its grid minima at the
+    least grid value stand unrefined.
     """
     ks = np.arange(len(stack)) if ks is None else np.asarray(ks)
+    o = centers[ks]
     f_grid = _gap_grid(stack, centers, ks)
-    ball = _is_ball(f_grid, centers[ks])
-    min_mask, _ = local_extrema_mask(f_grid)
-    balls = np.flatnonzero(ball)
-    j_ball = np.argmin(f_grid[balls], axis=1)
-    min_mask[balls] = False
-    min_mask[balls, j_ball] = True
-    row, j = np.nonzero(min_mask)
+    low, scale, ball = _gap_range(f_grid, o)
+    reach = np.where(ball, 0.0, _reach(stack.gap_bounds(ks, o)[2], scale))
+    row, j = grid_extrema(f_grid, low + reach, np.full(ks.size, math.inf))
     thetas, values = THETA_GRID[j], f_grid[row, j]
-    refine = np.flatnonzero(~ball[row])
-    if refine.size:
-        t_ref, at = _refine_gap(stack, ks[row[refine]], thetas[refine], centers, _GRID_STEP)
+    refine = ~ball[row]
+    if held:
+        spot = {}  # (row in ks, grid index) of the two grid points around each contact
+        row_of = dict(zip(ks.tolist(), range(ks.size)))
+        for c, (k, a) in enumerate(zip(*held[:2])):
+            i = math.floor(a / _GRID_STEP)
+            spot[row_of[k], i % GRID_N] = spot[row_of[k], (i + 1) % GRID_N] = c
+        for i, key in enumerate(zip(row.tolist(), j.tolist())):
+            c = spot.get(key)
+            if c is not None:
+                refine[i] = False
+                if held[2][c] <= values[i]:
+                    thetas[i], values[i] = held[1][c], held[2][c]
+    idx = np.flatnonzero(refine)
+    if idx.size:
+        t_ref, at = _refine_gap(stack, ks[row[idx]], thetas[idx], centers, _GRID_STEP)
         v_ref = at(t_ref)[0]
-        better = v_ref <= values[refine]
-        thetas[refine] = np.where(better, t_ref, thetas[refine])
-        values[refine] = np.where(better, v_ref, values[refine])
-    f_grid[row, j] = values  # a refined minimum does not exceed its grid value
-    return f_grid.min(axis=1), ks[row], thetas, values
+        better = v_ref <= values[idx]
+        thetas[idx[better]], values[idx[better]] = t_ref[better], v_ref[better]
+    np.minimum.at(low, row, values)
+    return low, ks[row], thetas, values
 
 
 _LP_TOL = 1e-13  # feasibility tolerance of the maximin LP, relative to max |h| + |o|
@@ -257,188 +302,207 @@ _EXCHANGE_ROUNDS = 4  # exchange rounds after the first certificate fails
 _SAME_BRANCH = math.sin(0.5 * 1.01 * _GRID_STEP)  # seeds closer than a grid step merge
 
 
-def _contact_newton(stack, body, thetas, lam, o, t, size):
-    """Joint Newton on (o, t, lam, theta): the optimality conditions of the contacts theta_i.
+def _active_rows(thetas, lam):
+    """The rows of LP weight above _ACTIVE_WEIGHT, as lists (thetas, lam): the Newton's seeds."""
+    active = lam > _ACTIVE_WEIGHT
+    return thetas[active].tolist(), lam[active].tolist()
+
+
+def _merge_branches(thetas, lam):
+    """The seeds, each within a grid step (modulo 2 pi) of an earlier one merged into it.
+
+    Such seeds lie on one branch of the gap (the grid resolves no finer),
+    so the earlier one keeps its angle and takes the sum of the weights.
+    """
+    out_t, out_lam = [], []
+    for a, w in zip(thetas, lam):
+        for i, b in enumerate(out_t):
+            if abs(math.sin(0.5 * (a - b))) <= _SAME_BRANCH:
+                out_lam[i] += w
+                break
+        else:
+            out_t.append(a)
+            out_lam.append(w)
+    return out_t, out_lam
+
+
+def _contact_newton(stack, k, thetas, lam, o, t, size):
+    """Joint Newton on (o, t, lam, theta) for body k: the optimality conditions of its contacts.
 
     With the gap f = h - <o, u>, the conditions are f(theta_i) = t,
     f'(theta_i) = 0, sum lam_i u_i = 0 and sum lam_i = 1.  The seeds
-    (body, thetas, lam) are points grouped by body; o, t and size are per
-    body of the stack.  A body's seeds within one grid step
-    of each other lie on one branch of the gap (the grid resolves no
-    finer), so they merge, and at most three contacts, the heaviest,
-    stay.  The contact angles move with the center in the same step:
-    linearizing f'(theta_i) = 0 gives d theta_i = (<u_perp_i, do> -
-    f'_i) / f''_i, and eliminating it leaves the Jacobian rows [-u_i, -1,
-    0], [sum lam_i u_perp_i u_perp_i^T / f''_i, 0, U^T] and [0, 0, 1^T],
-    for a ridge pair and a triple alike, with sum lam_i u_perp_i f'_i /
-    f''_i moved to the right-hand side (the f'_i d theta_i term of the
-    contact rows is second order, and dropped).  So a step takes one jet
-    evaluation, and the bodies with two and with three contacts each take
-    one batched step (`_kkt_step`) per iteration.  A body stops after a
-    step whose center step and contact slopes |f'_i| are all below
-    _NEWTON_STEP_TOL (size + |o|).  Returns (solved, o, contacts): solved
-    marks the bodies whose Newton ran through, o has their new centers,
-    and contacts = (body, thetas, lam) lists their contacts.  A body fails
-    with fewer than two contacts, a contact without curvature, or a
-    singular step.
+    (thetas, lam) merge by branch (`_merge_branches`), and the first three
+    branches stay; o = (o_x, o_y), t and size = max |h| are the body's.
+    The contact angles move with the center in the same step: linearizing
+    f'(theta_i) = 0 gives d theta_i = (<u_perp_i, do> - f'_i) / f''_i, and
+    eliminating it leaves the Jacobian rows [-u_i, -1, 0], [sum lam_i
+    u_perp_i u_perp_i^T / f''_i, 0, U^T] and [0, 0, 1^T], for a ridge pair
+    and a triple alike, with sum lam_i u_perp_i f'_i / f''_i moved to the
+    right-hand side (the f'_i d theta_i term of the contact rows is second
+    order, and dropped).  So a step takes one jet evaluation of the
+    contacts, and the rest (`_kkt_step`) is arithmetic on Python floats.
+    The Newton stops after a step whose center step and contact slopes
+    |f'_i| are all below _NEWTON_STEP_TOL (size + |o|), or after
+    _NEWTON_ITERS steps.  Returns ((o_x, o_y), thetas, lam, converged),
+    where converged tells the step test from the cap, or None where the
+    body fails: with fewer than two contacts, a contact without curvature,
+    or a singular or non-finite step.
     """
-    o = o.copy()
-    # seeds within a grid step of each other, modulo 2 pi, on one body
-    same = (np.abs(np.sin(0.5 * (thetas[:, None] - thetas))) <= _SAME_BRANCH) & (
-        body[:, None] == body)
-    first = same.argmax(axis=1)  # the first seed on each one's branch
-    keep = first == np.arange(thetas.size)
-    body, thetas, lam = body[keep], thetas[keep], np.bincount(first, lam, thetas.size)[keep]
-    count = np.bincount(body, np.ones(body.size), len(stack))
-    if count.max() > 3:  # exchange seeds, never in the first round: the heaviest three stay
-        order = np.argsort(-lam, kind="stable")
-        order = order[np.argsort(body[order], kind="stable")]
-        rank = np.arange(order.size) - np.searchsorted(body[order], body[order])
-        order = order[rank < 3]
-        body, thetas, lam = body[order], thetas[order], lam[order]
-        count = np.bincount(body, np.ones(body.size), len(stack))
-    solved = np.zeros(len(stack), bool)
-    for m in (2, 3):
-        pts = count[body] == m
-        ks = body[pts][::m]
-        if ks.size:
-            th, lm = thetas[pts].reshape(-1, m), lam[pts].reshape(-1, m)
-            solved[ks] = _newton_group(stack, ks, th, lm, o, t[ks].copy(), size[ks])
-            thetas[pts], lam[pts] = th.ravel(), lm.ravel()
-    mine = solved[body]
-    return solved, o, (body[mine], thetas[mine], lam[mine])
+    thetas, lam = (a[:3] for a in _merge_branches(thetas, lam))
+    if len(thetas) < 2:
+        return None
+    at = stack.jet(np.full(len(thetas), k))  # h, h' and rho at the contacts
+    ox, oy = o
+    try:
+        for _ in range(_NEWTON_ITERS):
+            h, h_prime, rho = at(np.array(thetas))[:3].tolist()
+            cos, sin = [math.cos(a) for a in thetas], [math.sin(a) for a in thetas]
+            f = [a - (ox * c + oy * s) for a, c, s in zip(h, cos, sin)]
+            f_prime = [a + (ox * s - oy * c) for a, c, s in zip(h_prime, cos, sin)]
+            curv = [a - b for a, b in zip(rho, f)]
+            if not all(c > 0.0 for c in curv):  # NaN fails too
+                return None
+            do_x, do_y, dt, d_lam = _kkt_step(cos, sin, lam, curv, f_prime, [a - t for a in f])
+            ox, oy, t = ox + do_x, oy + do_y, t + dt
+            lam = [a + b for a, b in zip(lam, d_lam)]
+            thetas = [a + (c * do_y - s * do_x - g) / q
+                      for a, c, s, g, q in zip(thetas, cos, sin, f_prime, curv)]
+            if not math.isfinite(ox + oy + t + sum(lam) + sum(thetas)):
+                return None
+            step = max(math.hypot(do_x, do_y), max(abs(g) for g in f_prime))
+            if step <= _NEWTON_STEP_TOL * (size + math.hypot(ox, oy)):
+                return (ox, oy), thetas, lam, True
+    except ZeroDivisionError:  # a singular step
+        return None
+    return (ox, oy), thetas, lam, False
 
 
-def _newton_group(stack, ks, thetas, lam, o, t, size):
-    """`_contact_newton`'s steps for the bodies ks with m contacts each, in place.
+def _kkt_step(cos, sin, lam, curv, f_prime, res_f):
+    """The contact Newton step (do_x, do_y, dt, dlam) of `_contact_newton`, in Python floats.
 
-    thetas and lam are (len(ks), m), o is per body of the stack, t and
-    size are per body of ks.  Each contact is a pair of (cos, sin) arrays,
-    one row per body, so a step is a few dozen array operations whatever
-    the number of bodies.  Returns the mask of the bodies that did not fail.
+    The contacts u_i = (cos_i, sin_i) have weights lam_i, curvatures
+    f''_i, slopes f'_i and residuals res_f_i = f_i - t.  With w_i = lam_i
+    / f''_i, A = sum_i w_i u_perp_i u_perp_i^T for u_perp = (-sin, cos),
+    res_u = sum_i lam_i u_i - w_i f'_i u_perp_i and res_s = sum lam_i - 1,
+    the Jacobian's rows give u_i.do + dt = res_f_i, A do + U^T dlam =
+    -res_u and 1^T dlam = -res_s.  For a triple B = [U 1] is square, with
+    the cofactor rows C_i of `_basis_cofactors`: B (do, dt) = res_f gives
+    (do, dt) = sum_i res_f_i C_i / det, then B^T dlam = -(res_u + A do,
+    res_s) gives dlam_i = -<C_i, (res_u + A do, res_s)> / det.  For a
+    pair d = u_1 - u_2 leaves the symmetric [[A, d], [d^T, 0]] (do,
+    dlam_1) = (res_s u_2 - res_u, res_f_1 - res_f_2), solved by its
+    adjugate, and dt, dlam_2 follow.  A singular step raises
+    ZeroDivisionError.
     """
-    g, m = thetas.shape
-    at = stack.jet(np.repeat(ks, m))  # h, h' and rho at the contacts
-    points = np.arange(g * m).reshape(g, m)
-    ok = np.ones(g, bool)
-    live = np.arange(g)
-    for _ in range(_NEWTON_ITERS):
-        if not live.size:
-            break
-        k, th = ks[live], thetas[live]
-        h, h_prime, rho = (a.reshape(-1, m) for a in at(th.ravel(), points[live].ravel())[:3])
-        cos, sin = np.cos(th), np.sin(th)
-        ox, oy = o[k, :1], o[k, 1:]
-        f = h - (ox * cos + oy * sin)  # the gap and its derivatives at the contacts
-        f_prime = h_prime + (ox * sin - oy * cos)
-        curv = rho - f
-        good = curv.min(axis=1) > 0.0  # NaN fails too
-        if not good.all():
-            ok[live[~good]] = False
-            live, k, th, cos, sin, f, f_prime, curv = (
-                a[good] for a in (live, k, th, cos, sin, f, f_prime, curv))
-        lm = lam[live]
-        w = lm / curv
-        w_sin, w_cos, w_f = w * sin, w * cos, w * f_prime
-        # A = sum_i w_i u_perp_i u_perp_i^T with u_perp = (-sin, cos), and the
-        # residual sum_i lam_i u_i - w_i f'_i u_perp_i
-        a_xx, a_xy, a_yy = (w_sin * sin).sum(axis=1), -(w_sin * cos).sum(axis=1), (
-            w_cos * cos).sum(axis=1)
-        res_x = (lm * cos + w_f * sin).sum(axis=1)
-        res_y = (lm * sin - w_f * cos).sum(axis=1)
-        do_x, do_y, dt, d_lam = _kkt_step(cos, sin, a_xx, a_xy, a_yy, res_x, res_y,
-                                          f - t[live, None], lm.sum(axis=1) - 1.0)
-        fine = np.isfinite(dt)
-        if not fine.all():
-            ok[live[~fine]] = False
-            live, k, th, cos, sin, f_prime, curv, do_x, do_y, dt, d_lam = (
-                a[fine] for a in (live, k, th, cos, sin, f_prime, curv, do_x, do_y, dt, d_lam))
-        o[k, 0] += do_x
-        o[k, 1] += do_y
-        t[live] += dt
-        lam[live] += d_lam
-        thetas[live] = th + (cos * do_y[:, None] - sin * do_x[:, None] - f_prime) / curv
-        step = np.maximum(np.hypot(do_x, do_y), np.abs(f_prime).max(axis=1))
-        live = live[~(step <= _NEWTON_STEP_TOL * (size[live] + _norms(o[k])))]
-    return ok
-
-
-_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])  # a triple's other two contacts
-
-
-def _kkt_step(cos, sin, a_xx, a_xy, a_yy, res_x, res_y, res_f, res_s):
-    """The contact Newton step (do_x, do_y, dt, dlam) per body, NaN where it is singular.
-
-    The contacts u_i = (cos, sin) are one row per body.  The Jacobian's
-    rows give u_i.do + dt = res_f_i, A do + U^T dlam = -res_u and 1^T dlam
-    = -res_s.  For a triple B = [U 1] is square, with the cofactor rows
-    C_i of `_basis_cofactors`: B (do, dt) = res_f gives (do, dt) = sum_i
-    res_f_i C_i / det, then B^T dlam = -(res_u + A do, res_s) gives dlam_i
-    = -<C_i, (res_u + A do, res_s)> / det.  For a pair d = u_1 - u_2
-    leaves the symmetric [[A, d], [d^T, 0]] (do, dlam_1) = (res_s u_2 -
-    res_u, res_f_1 - res_f_2), solved by its adjugate, and dt, dlam_2 follow.
-    """
-    if cos.shape[1] == 3:
-        x_next, x_after = cos[:, _NEXT], cos[:, _AFTER]
-        y_next, y_after = sin[:, _NEXT], sin[:, _AFTER]
-        c_x, c_y, c_1 = y_next - y_after, x_after - x_next, x_next * y_after - y_next * x_after
-        inv = 1.0 / _nonzero(c_1.sum(axis=1))
-        do_x, do_y, dt = ((c * res_f).sum(axis=1) * inv for c in (c_x, c_y, c_1))
+    w = [a / b for a, b in zip(lam, curv)]
+    w_sin, w_cos = [a * b for a, b in zip(w, sin)], [a * b for a, b in zip(w, cos)]
+    w_f = [a * b for a, b in zip(w, f_prime)]
+    a_xx = sum(a * b for a, b in zip(w_sin, sin))
+    a_xy = -sum(a * b for a, b in zip(w_sin, cos))
+    a_yy = sum(a * b for a, b in zip(w_cos, cos))
+    res_x = sum(a * c + g * s for a, c, s, g in zip(lam, cos, sin, w_f))
+    res_y = sum(a * s - g * c for a, c, s, g in zip(lam, cos, sin, w_f))
+    res_s = sum(lam) - 1.0
+    if len(cos) == 3:
+        cof, det = _basis_cofactors(cos, sin, (0, 1, 2))
+        inv = 1.0 / det
+        do_x, do_y, dt = (sum(c[i] * r for c, r in zip(cof, res_f)) * inv for i in range(3))
         q_x = res_x + a_xx * do_x + a_xy * do_y
         q_y = res_y + a_xy * do_x + a_yy * do_y
-        d_lam = -(c_x * q_x[:, None] + c_y * q_y[:, None] + c_1 * res_s[:, None]) * inv[:, None]
-        return do_x, do_y, dt, d_lam
-    d_x, d_y = cos[:, 0] - cos[:, 1], sin[:, 0] - sin[:, 1]
-    b_x, b_y = res_s * cos[:, 1] - res_x, res_s * sin[:, 1] - res_y
-    e = res_f[:, 0] - res_f[:, 1]
+        return do_x, do_y, dt, [-(c[0] * q_x + c[1] * q_y + c[2] * res_s) * inv for c in cof]
+    d_x, d_y = cos[0] - cos[1], sin[0] - sin[1]
+    b_x, b_y = res_s * cos[1] - res_x, res_s * sin[1] - res_y
+    e = res_f[0] - res_f[1]
     # the adjugate of the symmetric [[a_xx, a_xy, d_x], [a_xy, a_yy, d_y], [d_x, d_y, 0]]
     s_xx, s_xy, s_yy = -d_y * d_y, d_x * d_y, -d_x * d_x
     s_xd, s_yd, s_dd = a_xy * d_y - a_yy * d_x, a_xy * d_x - a_xx * d_y, a_xx * a_yy - a_xy * a_xy
-    inv = 1.0 / _nonzero(a_xx * s_xx + a_xy * s_xy + d_x * s_xd)
+    inv = 1.0 / (a_xx * s_xx + a_xy * s_xy + d_x * s_xd)
     do_x = (s_xx * b_x + s_xy * b_y + s_xd * e) * inv
     do_y = (s_xy * b_x + s_yy * b_y + s_yd * e) * inv
     d_lam1 = (s_xd * b_x + s_yd * b_y + s_dd * e) * inv
-    dt = res_f[:, 0] - (cos[:, 0] * do_x + sin[:, 0] * do_y)
-    return do_x, do_y, dt, np.column_stack([d_lam1, -res_s - d_lam1])
+    dt = res_f[0] - (cos[0] * do_x + sin[0] * do_y)
+    return do_x, do_y, dt, [d_lam1, -res_s - d_lam1]
 
 
-def _nonzero(det):
-    """det with NaN where it is 0: a singular step comes out NaN, without a warning."""
-    return np.where(det != 0.0, det, np.nan)
+def _certify(stack, ks, seeds, o, t, size, h_max):
+    """One certificate round for the bodies ks; seeds[i] = (thetas, lam) seeds body ks[i].
 
-
-def _certify(stack, ks, contacts, cuts, o, t, size, h_max):
-    """One certificate round for the bodies ks.
-
-    The contact Newton runs from the contacts, then the cuts (weight 0),
-    as points grouped by body: the first round has no cuts, and an
-    exchange round has one body.  Where it runs through with weights >=
-    0, the body's center o (updated in place) and contacts move to its
-    solution, and for w = lam / sum lam weak duality bounds the optimum by
-    sum w_i h(theta_i) + |sum w_i u_i| h_max; elsewhere the bound is inf.
-    Returns (lower, gap, contacts, minima): per body of ks the least
-    refined gap minimum at o and the bound minus it, then the contacts as
-    (body, thetas, lam) and the gap minima at o as (body, thetas, values).
+    The contact Newton runs body by body.  Where it runs through with
+    weights >= 0, the body's center o (updated in place) and contacts
+    move to its solution, and for w = lam / sum lam weak duality bounds
+    the optimum by sum w_i h(theta_i) + |sum w_i u_i| h_max; elsewhere the
+    bound is inf and the seeds stay its contacts.  The jet that gives
+    h(theta_i) gives the contacts' gap values too, and the contacts of a
+    Newton that met its step test go to `_support_gap_minima` with them,
+    so their branches are not polished again.  Returns (lower, gap,
+    contacts, minima): per body of ks the least gap minimum at o and the
+    bound minus it, then per body of ks its contacts (thetas, lam), and
+    the gap minima at o as (body, thetas, values).
     """
-    seeds = [np.concatenate(pair) for pair in zip(contacts, cuts)]
-    solved, o_new, (body, thetas, lam) = _contact_newton(stack, *seeds, o, t, size)
+    contacts, body, thetas, lam, held = [], [], [], [], []
+    for k, seed in zip(ks.tolist(), seeds):
+        out = _contact_newton(stack, k, *seed, o[k].tolist(), t.item(k), size.item(k))
+        if out is None or min(out[2]) < 0.0:
+            contacts.append(seed)
+            continue
+        o[k], th, lm, converged = out
+        contacts.append((th, lm))
+        body += [k] * len(th)
+        thetas += th
+        lam += lm
+        held += [converged] * len(th)
     n = len(stack)
-    good = solved & (np.bincount(body, np.minimum(lam, 0.0), n) == 0.0)  # no weight < 0
     upper = np.full(n, math.inf)
-    if good.any():
-        mine = good[body]
-        body, thetas, lam = body[mine], thetas[mine], lam[mine]
-        o[good] = o_new[good]
-        w = lam / np.bincount(body, lam)[body]
+    minima_held = None
+    if body:
+        body, thetas, lam, held = np.array(body), np.array(thetas), np.array(lam), np.array(held)
+        w = lam / np.bincount(body, lam, n)[body]
         h = stack.jet(body)(thetas)[0]
-        drift = np.hypot(np.bincount(body, w * np.cos(thetas), n),
-                         np.bincount(body, w * np.sin(thetas), n))
-        upper = np.where(good, np.bincount(body, w * h, n) + drift * h_max, math.inf)
-        kept = ~good[contacts[0]]
-        contacts = tuple(np.concatenate([a[kept], b])
-                         for a, b in zip(contacts, (body, thetas, lam)))
-    lower, *minima = _support_gap_minima(stack, o, ks)
+        cos, sin = np.cos(thetas), np.sin(thetas)
+        drift = np.hypot(np.bincount(body, w * cos, n), np.bincount(body, w * sin, n))
+        good = np.bincount(body, minlength=n) > 0
+        upper[good] = (np.bincount(body, w * h, n) + drift * h_max)[good]
+        values = h - (o[body, 0] * cos + o[body, 1] * sin)
+        minima_held = tuple(a[held].tolist() for a in (body, thetas, values))
+    lower, *minima = _support_gap_minima(stack, o, ks, minima_held)
     return lower, upper[ks] - lower, contacts, minima
+
+
+def _exchange_lp(stack, k, held, minima, start, o, t, size):
+    """An exchange round's LP for body k, and the seeds it gives the Newton.
+
+    The maximin LP runs over the grid rows plus one row at each other
+    exact angle of the held contacts and of the gap minima (body, thetas,
+    values of body k), and o[k] and t[k] move to its solution.  start,
+    the grid LP's final basis, is dual feasible here too, so the simplex
+    (`_lp_body`) starts from it.  The seeds are the LP's rows of weight
+    above _ACTIVE_WEIGHT, then the least gap minimum (the most violated
+    point) and then the basis rows of weight 0, all tight at the LP's
+    solution: an antipodal pair holds its LP value anywhere along its
+    ridge, so a third contact that the smooth optimum needs may sit in
+    the basis at weight 0, or not at all.  The Newton keeps the first
+    three branches.
+    """
+    # a row twice, or a grid row again, could swap with its twin forever
+    # where rounding in an ill-conditioned basis leaves the twin violated
+    angles = np.array([a for a in sorted({*held[0], *minima[1].tolist()})
+                       if THETA_GRID[round(a / _GRID_STEP) % GRID_N] != a])
+    cos, sin = np.cos(angles), np.sin(angles)
+    rows = np.vstack([_GRID_ROWS[0], np.column_stack([cos, sin, np.ones(angles.size)])])
+    h = np.concatenate([stack.grid[0][k], stack.jet(np.full(angles.size, k))(angles)[0]])
+    o[k], t[k], basis, lam = _lp_body(k, rows, _GRID_ROWS[1] + cos.tolist(),
+                                      _GRID_ROWS[2] + sin.tolist(), h, size.item(k),
+                                      start.tolist())
+    rows_t = np.concatenate([THETA_GRID, angles])[basis].tolist()
+    active = [w > _ACTIVE_WEIGHT for w in lam]
+    thetas = [a for a, on in zip(rows_t, active) if on]
+    weights = [w for w, on in zip(lam, active) if on]
+    if minima[1].size:
+        thetas.append(minima[1][np.argmin(minima[2])].item())
+        weights.append(0.0)
+    thetas += [a for a, on in zip(rows_t, active) if not on]
+    weights += [w for w, on in zip(lam, active) if not on]
+    return thetas, weights
 
 
 def _inscribed_support(stack):
@@ -446,45 +510,38 @@ def _inscribed_support(stack):
 
     The LP's rows of weight above _ACTIVE_WEIGHT seed `_contact_newton`;
     a ball about the LP's center skips it, and its gap (t minus the least
-    grid gap) compares grid values only.  r is the least Newton-refined
-    grid local minimum of the gap at o.  With h_max = max_j h_j /
-    cos(pi/n) >= |o*| (every boundary point has a grid normal within pi/n
-    of its direction) `_certify` bounds the optimum from above.  The
-    certificate, gap <= _CERT_TOL (size + |o|) with size = max |h| on the
-    grid, assumes that the grid sees every branch of the gap: a dip under
-    about rho (pi/n)^2 / 2 between grid points is missed.  A body whose
-    first certificate fails, or whose weights go negative, runs exchange
-    rounds alone: each reruns the Newton from its contacts plus the gap
-    minima at o, lowest first (weight 0, the heaviest three kept); after
+    grid gap) compares grid values only.  r is the least gap minimum at o
+    (`_support_gap_minima`).  With h_max = max_j h_j / cos(pi/n) >= |o*|
+    (every boundary point has a grid normal within pi/n of its direction)
+    `_certify` bounds the optimum from above.  The certificate, gap <=
+    _CERT_TOL (size + |o|) with size = max |h| on the grid, assumes that
+    the grid sees every branch of the gap: a dip under about rho (pi/n)^2
+    / 2 between grid points is missed.  A body whose first certificate
+    fails, or whose weights go negative, runs exchange rounds alone: each
+    solves the LP again over the grid rows plus rows at the exact angles
+    of its contacts and of the gap minima at o, and reruns the Newton from
+    that LP's center, its active rows and the least gap minimum
+    (`_exchange_lp`), so a contact can leave as well as enter; after
     _EXCHANGE_ROUNDS a ValueError names the gap.
     """
     h_grid = stack.grid[0]
     o, t, basis, lam = _maximin_lp(_U_GRID, h_grid)
-    every = np.arange(len(stack))
-    f_grid = _gap_grid(stack, o, every)
-    r = f_grid.min(axis=1)
+    r, _, ball = _gap_range(_gap_grid(stack, o, np.arange(len(stack))), o)  # ball: all touch
     gap = t - r
-    ball = _is_ball(f_grid, o)  # every direction touches
     size = np.abs(h_grid).max(axis=1)
     h_max = h_grid.max(axis=1) / math.cos(math.pi / GRID_N)
     ks = np.flatnonzero(~ball)
     if not ks.size:
         return o, r, gap
-    body, col = np.nonzero((lam > _ACTIVE_WEIGHT) & ~ball[:, None])
-    contacts = (body, THETA_GRID[basis[body, col]], lam[body, col])
-    no_cuts = (np.empty(0, int), np.empty(0), np.empty(0))
-    r[ks], gap[ks], contacts, minima = _certify(stack, ks, contacts, no_cuts, o, t, size, h_max)
+    seeds = [_active_rows(THETA_GRID[basis[k]], lam[k]) for k in ks]
+    r[ks], gap[ks], contacts, minima = _certify(stack, ks, seeds, o, t, size, h_max)
     tol = _CERT_TOL * (size + _norms(o))
-    for k in ks[~(gap[ks] <= tol[ks])]:
-        alone = np.array([k])
-        mine = contacts[0] == k
-        contacts_k = tuple(a[mine] for a in contacts)
+    for i in np.flatnonzero(~(gap[ks] <= tol[ks])):
+        k, held, alone = ks[i], contacts[i], ks[i:i + 1]
         for _ in range(_EXCHANGE_ROUNDS):
-            body, thetas, values = (a[minima[0] == k] for a in minima)
-            order = np.argsort(values, kind="stable")
-            cuts = (body[order], thetas[order], np.zeros(order.size))
-            lower, g, contacts_k, minima = _certify(stack, alone, contacts_k, cuts, o, t, size,
-                                                    h_max)
+            mine = tuple(a[minima[0] == k] for a in minima)
+            seed = _exchange_lp(stack, k, held, mine, basis[k], o, t, size)
+            lower, g, (held,), minima = _certify(stack, alone, [seed], o, t, size, h_max)
             r[k], gap[k] = lower[0], g[0]
             if gap[k] <= _CERT_TOL * (size[k] + _norms(o[alone])[0]):
                 break
@@ -499,24 +556,22 @@ def _circumscribed(stack, centers):
     """Largest distance from each body's center (one row per body) to its boundary.
 
     With the gap f = h - <o, u>, the boundary point of normal angle t is
-    b - o = f u + f' u_perp, so |b - o|^2 = f^2 + f'^2.  The grid scan's
-    four largest local maxima per body are Newton-polished, using the
-    exact derivatives of F = |b - o|^2 / 2 along the normal angle, where
-    b' = rho u_perp: F' = rho f' and F'' = rho' f' + rho (rho - f).
+    b - o = f u + f' u_perp, so D = |b - o|^2 = f^2 + f'^2, and since b' =
+    rho u_perp, D' = 2 rho f' and D'' = 2 (rho' f' + rho (rho - f)), which
+    the bounds on |f|, |f'|, |rho| and |rho'| bound (`gap_bounds`,
+    `rho_bounds`).  The grid's local maxima of D within `_reach` of its
+    largest grid value are Newton-polished along the normal angle with
+    these exact derivatives; no other can pass that value.
     """
     rows = np.arange(len(stack))
     f = _gap_grid(stack, centers, rows)
     f_prime = stack.grid[1] + _SIN * centers[:, :1] - _COS * centers[:, 1:]
     d2 = f * f + f_prime * f_prime
-    _, max_mask = local_extrema_mask(d2)
-    cand = np.where(max_mask, d2, -np.inf)
-    top = np.empty((rows.size, 4), int)
-    for i in range(4):
-        top[:, i] = np.argmax(cand, axis=1)
-        cand[rows, top[:, i]] = -np.inf
-    valid = max_mask[rows[:, None], top]  # a body may have fewer than four maxima
-    row, j = np.nonzero(valid)
-    j = top[row, j]
+    (f_bar, f1_bar, _), (rho_bar, rho1_bar, _) = stack.gap_bounds(rows, centers), stack.rho_bounds
+    l2 = 2.0 * (f1_bar * rho1_bar + (rho_bar + f_bar) * rho_bar)
+    scale = (np.abs(stack.grid[0]).max(axis=1) + _norms(centers)) ** 2
+    d2_max = d2.max(axis=1)
+    row, j = grid_extrema(d2, np.full(len(stack), -math.inf), d2_max - _reach(l2, scale))
     at = stack.jet(row, centers[row])
 
     def derivs(t, sel):
@@ -524,10 +579,9 @@ def _circumscribed(stack, centers):
         return rho * f_prime, rho_prime * f_prime + rho * (rho - f)
 
     # the distance is flat to second order at a maximum: a 1e-10 step leaves
-    # an error far below rounding, and near-round bodies (F'' ~ 0) stop there
+    # an error far below rounding, and near-round bodies (D'' ~ 0) stop there
     # instead of stepping through rounding noise
     t = refine_critical_points(derivs, THETA_GRID[j], _GRID_STEP, tol=1e-10)
     f, f_prime = at(t)[:2]
-    polished = np.full(valid.shape, -np.inf)
-    polished[valid] = f * f + f_prime * f_prime
-    return np.sqrt(np.maximum(d2.max(axis=1), polished.max(axis=1)))
+    np.maximum.at(d2_max, row, f * f + f_prime * f_prime)
+    return np.sqrt(d2_max)

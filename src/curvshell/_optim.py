@@ -7,11 +7,19 @@ import numpy as np
 _ZOOM_N = 33  # samples per bracketed_min round: the bracket narrows 16-fold
 
 
-def local_extrema_mask(values: np.ndarray):
-    """Masks of cyclic local minima / maxima of sampled periodic functions (on the last axis)."""
-    prev = np.roll(values, 1, axis=-1)
-    nxt = np.roll(values, -1, axis=-1)
-    return (values <= prev) & (values <= nxt), (values >= prev) & (values >= nxt)
+def grid_extrema(values: np.ndarray, low, high):
+    """(row, j) of the cyclic local minima at or below low and local maxima at or above high.
+
+    Each row of values samples one periodic function; low and high hold
+    one threshold per row (-inf or inf leaves that kind out).
+    """
+    n = values.shape[1]
+    idx = ((values <= low[:, None]) | (values >= high[:, None])).ravel().nonzero()[0]
+    row, j = idx // n, idx % n
+    v, prev, nxt = values[row, j], values[row, j - 1], values[row, (j + 1) % n]
+    keep = ((v <= np.minimum(prev, nxt)) & (v <= low[row])) | (
+        (v >= np.maximum(prev, nxt)) & (v >= high[row]))
+    return row[keep], j[keep]
 
 
 def refine_critical_points(derivs, t0: np.ndarray, halfwidth: float, iters: int = 60,
@@ -21,13 +29,15 @@ def refine_critical_points(derivs, t0: np.ndarray, halfwidth: float, iters: int 
     derivs(t, sel) returns (f', f'') at the points sel (an index array
     into t0), placed at t.  Each point starts from its grid candidate in
     t0 and never leaves +-halfwidth around it, so it stays in its own
-    basin.  A point freezes once its own step is below tol, so its result
-    does not depend on the other points solved with it; all stop after
-    iters steps.
+    basin.  A point freezes once its own step is below tol, or no shorter
+    than its step before: Newton's steps shrink until they reach the
+    rounding of f', and then only dither.  So its result does not depend
+    on the other points solved with it; all stop after iters steps.
     """
     t = np.array(t0, float)
     lo, hi = t - halfwidth, t + halfwidth
     live = np.arange(t.size)
+    last = np.full(t.size, np.inf)  # each point's previous step length
     for _ in range(iters):
         if not live.size:
             break
@@ -36,7 +46,10 @@ def refine_critical_points(derivs, t0: np.ndarray, halfwidth: float, iters: int 
         step = np.divide(g, h, out=np.zeros_like(g), where=np.abs(h) > 1e-300)
         step = np.minimum(np.maximum(step, -halfwidth), halfwidth)
         t[live] = np.minimum(np.maximum(t_live - step, lo[live]), hi[live])
-        live = live[np.abs(step) >= tol]
+        length = np.abs(step)
+        shrinking = length < last[live]
+        last[live] = length
+        live = live[(length >= tol) & shrinking]
     return t
 
 

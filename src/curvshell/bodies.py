@@ -42,7 +42,7 @@ import numpy as np
 
 from . import _flat
 from ._flat import GRID_N, THETA_GRID, _read_only
-from ._optim import local_extrema_mask, refine_critical_points
+from ._optim import grid_extrema, refine_critical_points
 from .geometry import PinchSpec, SpaceCurvature, curvature_from_sphere_radius
 from .spindle import (
     _ProfileBody,
@@ -83,6 +83,14 @@ def _trig_vector(thetas, modes):
 def _mode_table(n, modes):
     """`_trig_vector` over the shared grid of size n: one read-only (n, 2 modes + 4) array."""
     return _read_only(_trig_vector(_SHARED_GRIDS[n], modes))[0]
+
+
+@functools.lru_cache(maxsize=16)
+def _mode_weights(modes):
+    """(modes, 6): n^p and n^p / (n^2 - 1) for p = 0, 1, 2 over the modes n = 2 .. modes + 1."""
+    ns = np.arange(2.0, modes + 2)[:, None]
+    powers = ns ** np.arange(3.0)
+    return _read_only(np.hstack([powers, powers / (ns * ns - 1.0)]))[0]
 
 
 _BLOCK_FLOATS = 12288  # float64 per temporary of a blocked evaluation: 96 KiB
@@ -292,32 +300,64 @@ class TrigStack:
 
         return at
 
+    @functools.cached_property
+    def _mode_sums(self):
+        """(6, K): per body the sums over rho's modes n of n^p |c_n| and n^p |c_n| / (n^2 - 1).
+
+        p = 0, 1, 2, and |c_n| = hypot(a_n, b_n) is mode n's amplitude, so
+        the first three bound |rho - h0|, |rho'| and |rho''|, and the last
+        three the same of h's modes n >= 2 (mode n of h is c_n / (1 - n^2)).
+        """
+        return (np.hypot(self.rho_cos, self.rho_sin) @ _mode_weights(self.modes)).T
+
+    @functools.cached_property
+    def rho_bounds(self) -> np.ndarray:
+        """(3, K): per body bounds on |rho|, |rho'| and |rho''| from the mode amplitudes."""
+        sums = self._mode_sums[:3].copy()
+        sums[0] += np.abs(self.h0)
+        return sums
+
+    def gap_bounds(self, ks, centers) -> np.ndarray:
+        """(3, len(ks)): bounds on |f|, |f'| and |f''| of the gap f = h - <o, u> of the bodies ks.
+
+        centers has one row per body of ks; the center enters f as mode 1,
+        with the translation.
+        """
+        shift = np.hypot(*(self.translation[ks] - centers).T)
+        sums = self._mode_sums[3:, ks] + shift
+        sums[0] += np.abs(self.h0[ks])
+        return sums
+
     def rho_range(self):
         """Per body (min, max, argmin, argmax) of rho: grid scan plus Newton on rho'.
 
-        All grid-local extrema are polished, not only the grid-global ones,
-        so near-degenerate competing extrema cannot slip past the scan; a
+        Between two grid points rho passes the nearer grid value by at most
+        L2 (2 pi / n)^2 / 8, where L2 = sum n^2 |c_n| bounds |rho''|
+        (`_flat._reach`, which adds a rounding floor).  So only the
+        grid-local extrema within that reach of the grid's extreme are
+        polished: no other can win, and near-tied competitors all are.  A
         grid value wins a tie with a polished one.
         """
         vals = self.grid[2]
-        min_mask, max_mask = local_extrema_mask(vals)
-        body, j = np.nonzero(min_mask | max_mask)
-        at = self.jet(body)
-        cand_t = refine_critical_points(lambda t, sel: at(t, sel)[3:], THETA_GRID[j],
-                                        2.0 * math.pi / GRID_N)
-        cand_v = at(cand_t)[2]
+        lo_i, hi_i = np.argmin(vals, axis=1), np.argmax(vals, axis=1)
         rows = np.arange(len(self))
-        out = []
-        for sign in (1.0, -1.0):  # the minimum, then the maximum
-            best = sign * vals
-            best_t = np.broadcast_to(THETA_GRID, vals.shape).copy()
-            polished = sign * cand_v < best[body, j]
-            best[body[polished], j[polished]] = sign * cand_v[polished]
-            best_t[body[polished], j[polished]] = cand_t[polished]
-            i = np.argmin(best, axis=1)
-            out += [sign * best[rows, i], best_t[rows, i]]
-        lo, lo_t, hi, hi_t = out
-        return lo, hi, lo_t, hi_t
+        lo, hi = vals[rows, lo_i], vals[rows, hi_i]
+        reach = _flat._reach(self.rho_bounds[2], np.maximum(hi, -lo))
+        body, j = grid_extrema(vals, lo + reach, hi - reach)
+        at = self.jet(body)
+        # rho is flat to second order at an extremum: a 1e-10 step leaves an
+        # error far below its rounding
+        cand_t = refine_critical_points(lambda t, sel: at(t, sel)[3:], THETA_GRID[j],
+                                        2.0 * math.pi / GRID_N, tol=1e-10)
+        cand_v = at(cand_t)[2]
+        lo, hi = lo.tolist(), hi.tolist()
+        lo_t, hi_t = THETA_GRID[lo_i].tolist(), THETA_GRID[hi_i].tolist()
+        for k, t, v in zip(body.tolist(), cand_t.tolist(), cand_v.tolist()):
+            if v < lo[k]:
+                lo[k], lo_t[k] = v, t
+            if v > hi[k]:
+                hi[k], hi_t[k] = v, t
+        return np.array(lo), np.array(hi), np.array(lo_t), np.array(hi_t)
 
     def inscribed(self):
         """(centers, r): the certified Chebyshev center and radius of each body."""
@@ -400,6 +440,17 @@ class ArcSupportCurve(_SupportCurve, _ProfileBody):
     def grid(self) -> np.ndarray:
         return np.stack([self.h(THETA_GRID), self.h_prime(THETA_GRID),
                          self.rho(THETA_GRID)])[:, None, :]
+
+    def gap_bounds(self, ks, centers) -> np.ndarray:
+        """(3, len(ks)): bounds on |f|, |f'| and |f''| of the gap f = h - <o, u>.
+
+        On the arc of center c and radius r, |h| <= |c| + r and |h'| <= |c|,
+        and f'' = rho - f between the joins.
+        """
+        o = np.hypot(centers[:, 0], centers[:, 1])
+        c = np.hypot(self._centers[:, 0], self._centers[:, 1])
+        f_bar = (c + self._radii).max() + o
+        return np.stack([f_bar, c.max() + o, self._radii.max() + f_bar])
 
     def jet(self, body, centers=None):
         def at(t, sel=None):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from curvshell.bodies import GRID_N, THETA_GRID, ArcSupportCurve, unit_vectors
+from curvshell.bodies import GRID_N, THETA_GRID, ArcSupportCurve, TrigSupportCurve, unit_vectors
 from curvshell.geometry import PinchSpec, SpaceCurvature, axis_point_frame
 from curvshell.spindle import Arc, ProfileCurve
 
@@ -124,3 +124,22 @@ def closure_residual(body) -> float:
         vals = np.asarray(body.rho(THETA_GRID))
         mom = (vals[:, None] * unit_vectors(THETA_GRID)).sum(axis=0) * (2.0 * math.pi / GRID_N)
     return float(np.abs(mom).max())
+
+
+def fejer_body(pinch, r_tilde, modes):
+    """The Fejér mean of order modes of the flat spindle's curvature radius, as a trig body.
+
+    The spindle of inscribed radius r_tilde has rho = r2 on its caps'
+    normal angles |t| < phi and |t - pi| < phi, phi = atan2(r1 - r_tilde,
+    R - r2) its join angle, and r1 elsewhere.  Mode n of that step
+    function, times the Fejér weight 1 - n / (modes + 1), is a cosine
+    term; the kernel is positive, so rho stays inside [r2, r1], and the
+    first harmonics stay 0, so the curve closes.
+    """
+    r1, r2 = pinch.r1, pinch.r2
+    big_r = r2 + math.sqrt((r1 - r2) ** 2 - (r1 - r_tilde) ** 2)
+    phi = math.atan2(r1 - r_tilde, big_r - r2)
+    ns = np.arange(2.0, modes + 1)
+    a = -(r1 - r2) * 2.0 * np.sin(ns * phi) / (math.pi * ns) * (1.0 + (-1.0) ** ns)
+    return TrigSupportCurve(r1 - (r1 - r2) * 2.0 * phi / math.pi, a * (1.0 - ns / (modes + 1)),
+                            np.zeros(ns.size))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from curvshell._optim import bracketed_min, refine_critical_points
+from curvshell._optim import bracketed_min, grid_extrema, refine_critical_points
 
 
 class TestBracketedMin:
@@ -73,3 +73,37 @@ class TestRefineCriticalPoints:
         mixed = [4, 0, 5]
         picked = refine_critical_points(self.derivs(freq[mixed]), t0[mixed], 0.5, tol=1e-6)
         assert np.array_equal(picked, together[mixed])
+
+    def test_dithering_point_freezes(self):
+        # a slope of rounding size, 1e-14 of alternating sign, never gives a
+        # step below tol: the points freeze once their steps stop shrinking,
+        # after two steps, not at the cap
+        calls = []
+
+        def noisy(t, sel):
+            calls.append(1)
+            return np.full(t.size, 1e-14 * (-1.0) ** len(calls)), np.ones(t.size)
+
+        t = refine_critical_points(noisy, np.array([0.5, 1.5]), 0.1)
+        assert len(calls) == 2
+        assert np.abs(t - [0.5, 1.5]).max() <= 1e-13
+
+
+class TestGridExtrema:
+    def test_thresholds_pick_the_extrema(self):
+        # cos 4t has four tied maxima and minima on the grid, cos t one of each
+        thetas = np.arange(64) * (2.0 * math.pi / 64)
+        values = np.stack([np.cos(4.0 * thetas), np.cos(thetas)])
+        low, high = values.min(axis=1) + 1e-9, values.max(axis=1) - 1e-9
+
+        def pairs(row, j):
+            return sorted(zip(row.tolist(), j.tolist()))
+
+        none = np.full(2, np.inf)
+        minima = [(0, 8), (0, 24), (0, 40), (0, 56), (1, 32)]
+        maxima = [(0, 0), (0, 16), (0, 32), (0, 48), (1, 0)]
+        assert pairs(*grid_extrema(values, low, none)) == minima
+        assert pairs(*grid_extrema(values, -none, high)) == maxima
+        assert pairs(*grid_extrema(values, low, high)) == sorted(minima + maxima)
+        # a threshold below a row's least value leaves it out
+        assert pairs(*grid_extrema(values, np.array([-2.0, 2.0]), none)) == [(1, 32)]

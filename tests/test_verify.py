@@ -62,6 +62,7 @@ from conftest import (
     SPHERE,
     cut_lens_profile,
     disk_shell_profile,
+    fejer_body,
     random_pinch,
     rng_for,
 )
@@ -72,7 +73,7 @@ _U_GRID = unit_vectors(THETA_GRID)
 
 
 def _highs_maximin(u, h):
-    """Reference solution of max t s.t. <o, u_j> + t <= h_j by HiGHS."""
+    """Reference solution (o_x, o_y, t) of max t s.t. <o, u_j> + t <= h_j by HiGHS."""
     from scipy.optimize import linprog
 
     res = linprog(c=[0.0, 0.0, -1.0], A_ub=np.column_stack([u, np.ones(len(h))]), b_ub=h,
@@ -80,13 +81,13 @@ def _highs_maximin(u, h):
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
     assert res.status == 0
-    return -res.fun
+    return res.x
 
 
 class TestMaximinLP:
     def assert_optimal(self, u, h):
         (o,), (t,), _, _ = _maximin_lp(u, [h])
-        assert abs(t - _highs_maximin(u, h)) <= 1e-9
+        assert abs(t - _highs_maximin(u, h)[2]) <= 1e-9
         assert (h - u @ o - t).min() >= -1e-12
 
     @pytest.mark.parametrize("k2", [1.1, 5.0, 1000.0])
@@ -231,11 +232,14 @@ class TestInscribedBall:
     def test_lone_body_work(self, monkeypatch):
         # a lone body's center on 30 bodies at the bench pinches: the LP forms
         # one basis inverse per basis it visits (and one to check the start),
-        # and the contact Newton one jet evaluation per step.  The code reads
-        # medians 9 and 15 (sums 278 and 447); the bounds leave room for a step
-        # more or less where the stopping tests meet rounding in sin/cos or in
-        # summation order.  A Newton that refined its contact angles to
-        # convergence after every step took a median of 23 evaluations (sum 669)
+        # and the contact Newton one jet evaluation per step; the certificate
+        # takes one more for h at the contacts, and polishes no gap minimum on
+        # a contact's branch again.  The code reads medians 4 and 15 (sums 134
+        # and 447); the bounds leave room for a step more or less where the
+        # stopping tests meet rounding in sin/cos or in summation order.  A
+        # certificate that polished the contacts' branches again took a median
+        # of 9 evaluations (sum 278), and a Newton that refined its contact
+        # angles to convergence after every step a median of 23 (sum 669)
         jet, cofactors, jets, inverses = TrigStack.jet, flat._basis_cofactors, [], []
 
         def jet_spy(self, body, centers=None):
@@ -255,7 +259,7 @@ class TestInscribedBall:
                 stack.inscribed()
                 per_body.append((len(jets), len(inverses)))
         n_jets, n_inverses = np.array(per_body).T
-        assert np.median(n_jets) <= 10 and n_jets.sum() <= 320
+        assert np.median(n_jets) <= 5 and n_jets.sum() <= 160
         assert np.median(n_inverses) <= 17 and n_inverses.sum() <= 500
 
     @pytest.mark.parametrize("lam", [1e-12, 1e-6, 1e-3, 1e3, 1e6, 1e12])
@@ -333,6 +337,24 @@ class TestInscribedBall:
         assert abs(r - 0.5432508906704727) <= 1e-15 * r
         assert np.ptp(np.sort(_support_gap_minima(body.stack, o[None])[3])[:3]) <= 1e-15 * r
 
+    @pytest.mark.parametrize("k2, seed, r_want", [
+        (2.0, 2696222693814979990, 0.7190112134773966),
+        (5.0, 302160142256002, 0.5450048691785285),
+    ])
+    def test_exchange_rounds_of_bench_bodies(self, monkeypatch, k2, seed, r_want):
+        # ridge bodies whose exchange LP stays degenerate along the ridge.
+        # In the first, the LP's basis is the pair and a zero-weight row on
+        # one of its branches, so only the least gap minimum, seeded after
+        # the LP's active rows, brings in the third contact (weight 1.8e-4).
+        # In the second, the contacts are gap minima too: each angle gives
+        # one LP row, since twin rows in its ill-conditioned basis swapped
+        # until the pivot cap
+        body = random_pinched_curve(PinchSpec.from_curvatures(FLAT, 1.0, k2), seed=seed)
+        calls = self.count_newton(monkeypatch)
+        _, r, _ = self.assert_certified(body)
+        assert len(calls) == 2
+        assert abs(r - r_want) <= 1e-15 * r
+
     def test_forced_exchange_round(self, monkeypatch):
         # a wrong first active set: the ridge pair without one contact, the
         # ridge's zero-weight row in place of a contact, the triple without
@@ -360,6 +382,80 @@ class TestInscribedBall:
             assert len(calls) >= 2
             assert abs(r - r0) <= 1e-15 * r0
             assert np.linalg.norm(o - o0) <= 1e-15 * r0
+
+    def test_exchange_swaps_a_held_contact(self, monkeypatch):
+        # the grid LP ends on an antipodal pair; a Newton from the pair and
+        # the lowest gap minimum converges on a triple whose third contact,
+        # on the wrong branch, carries weight 0.0025, and at its center the
+        # right branch dips 4.4e-6 below.  So the exchange must drop a held
+        # contact as well as add one: the LP over the grid rows and the exact
+        # contact and minimum angles trades the wrong branch for the right
+        # one.  The dense LP's own discretization error is 1.4e-10
+        a = [0.013, -0.0065, 0.008, -0.0127, -0.0138, -0.0155, -0.0193, -0.007, -0.039,
+             -0.0287, -0.022, -0.006, -0.023, -0.0033, 0.006, 0.0, 0.0, 0.01, -0.002, 0.01,
+             -0.001, 0.0, -0.005, -0.01, -0.02, -0.028, 0.0, -0.02, 0.02, 0.02, 0.01]
+        b = [-0.0258, 0.022, 0.0, 0.016, -0.0074, 0.007, -0.0021, 0.021, 0.009, 0.008, 0.009,
+             0.0275, -0.0173, -0.006, -0.034, 0.0322, 0.0, 0.016, 0.026, -0.019, -0.0213,
+             -0.0099, 0.038, -0.02, 0.01, -0.002, 0.016, -0.02, 0.005, 0.005, -0.023]
+        body = TrigSupportCurve(0.7, a, b)
+        calls = self.count_newton(monkeypatch)
+        res = check_bounds(body, PINCH_12)
+        assert len(calls) == 2  # the first round and one exchange round
+        assert res.satisfied.all_ok
+        self.assert_certified(body)
+        thetas = np.arange(2 ** 17) * (2.0 * math.pi / 2 ** 17)
+        o_x, o_y, t = _highs_maximin(unit_vectors(thetas), body.h(thetas))
+        assert abs(res.inner_r - t) <= 1e-9 * PINCH_12.r1
+        assert np.linalg.norm(res.center - [o_x, o_y]) <= 1e-9 * PINCH_12.r1
+
+    class _RowsJet:
+        """A stack of one whose jet gives the rows (h, h', rho) of rows(t) at any angles."""
+
+        def __init__(self, rows):
+            self.rows = rows
+
+        def jet(self, body, centers=None):
+            return lambda t, sel=None: np.array(self.rows(np.asarray(t, float)))
+
+    @pytest.mark.parametrize("case", ["flat", "singular", "nan h", "inf slope"])
+    def test_newton_failures_fail_the_body(self, case):
+        # Python floats raise where numpy gave NaN: a contact without
+        # curvature (rho equal to the gap f, here h at o = 0), a singular
+        # step (no weight, so A = 0 and the ridge system has determinant 0)
+        # or a non-finite contact fails the body's Newton, with no exception
+        one = lambda t: np.ones(t.size)
+        zero = lambda t: np.zeros(t.size)
+        rows, lam = {
+            "flat": (lambda t: [one(t), zero(t), one(t)], [0.5, 0.5]),
+            "singular": (lambda t: [one(t), zero(t), 2.0 * one(t)], [0.0, 0.0]),
+            "nan h": (lambda t: [np.where(t > 1.0, np.nan, 1.0), zero(t), 2.0 * one(t)],
+                      [0.5, 0.5]),
+            "inf slope": (lambda t: [one(t), np.full(t.size, np.inf), 2.0 * one(t)],
+                          [0.5, 0.5]),
+        }[case]
+        stack = self._RowsJet(rows)
+        assert flat._contact_newton(stack, 0, [0.0, math.pi], lam, (0.0, 0.0), 1.0, 1.0) is None
+
+    def test_non_finite_contacts_name_the_seed(self, monkeypatch, capsys):
+        # a rho of NaN at every contact fails each Newton, so the exchange
+        # rounds run out: the body's error names its seed, with exit code 1
+        jet = TrigStack.jet
+
+        def nan_rho(self, body, centers=None):
+            at = jet(self, body, centers)
+
+            def rows(t, sel=None):
+                out = at(t, sel)
+                if centers is None:
+                    out[2] = np.nan
+                return out
+
+            return rows
+
+        monkeypatch.setattr(TrigStack, "jet", nan_rho)
+        argv = ["verify", "--flat", "--k1", "1", "--k2", "2", "--seeds", "3..3", "--jobs", "1"]
+        assert cli.main(argv) == 1
+        assert "seed 3: inscribed ball: certificate gap inf" in capsys.readouterr().err
 
     def test_uncertifiable_raises(self, monkeypatch, capsys):
         # no gap can pass a negative tolerance: the exchange rounds run out,
@@ -469,6 +565,86 @@ class TestInscribedBall:
         assert_allclose(r, r_t, atol=1e-8)
         res = check_bounds(body, p)
         assert res.satisfied.width and res.satisfied.outer
+
+
+class TestPolishes:
+    """The grid polishes: which extrema the derivative bound sends to Newton, and when it stops."""
+
+    @staticmethod
+    def count_steps(monkeypatch):
+        # per refine_critical_points call, the Newton steps taken short of its cap
+        steps, refine = [], flat.refine_critical_points
+
+        def counting(derivs, t0, halfwidth, iters=60, tol=1e-15):
+            steps.append(-iters)
+
+            def counted(t, sel):
+                steps[-1] += 1
+                return derivs(t, sel)
+
+            return refine(counted, t0, halfwidth, iters, tol)
+
+        monkeypatch.setattr(flat, "refine_critical_points", counting)
+        monkeypatch.setattr(bodies, "refine_critical_points", counting)
+        return steps
+
+    def test_bench_bodies_stop_below_the_cap(self, monkeypatch):
+        # a polished point freezes once its step stops shrinking, so no
+        # polish dithers in rounding noise until the 60-step cap (about 1 in
+        # 25 rho_range polishes did, over these bodies)
+        steps = self.count_steps(monkeypatch)
+        for k2 in (1.1, 2.0, 5.0):
+            verify_batch(PinchSpec.from_curvatures(FLAT, 1.0, k2), seeds=range(300))
+        assert steps and max(steps) < 0
+
+    def test_fejer_body_stops_below_the_cap(self, monkeypatch):
+        # the Fejér body's rho is flat on long stretches: its grid extrema
+        # there are rounding noise, and none may run to the cap
+        pinch = PINCH_12
+        body = fejer_body(pinch, width_bound(FLAT, pinch).maximizer_r, 128)
+        steps = self.count_steps(monkeypatch)
+        res = check_bounds(body, pinch)
+        assert res.satisfied.all_ok
+        assert steps and max(steps) < 0
+
+    @pytest.mark.parametrize("body", [
+        TrigSupportCurve(1.0, [0.0, 0.0, 0.0, 0.01], [0.0] * 4),
+        TrigSupportCurve(1.0, [0.0, 0.0, 0.0, 0.01], [0.0] * 4).translate([0.3, -0.2]),
+        TrigSupportCurve(0.8, [0.0, 0.1], [0.0, 0.0]),
+        TrigSupportCurve(1.0, [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.02], [0.0] * 7),
+    ], ids=["5-fold", "5-fold moved", "3-fold", "8-fold"])
+    def test_tied_extrema_match_a_dense_scan(self, body):
+        # exactly tied extrema sit on the 2^16 grid (at 0 or pi), so the
+        # dense scan is exact there; every tied competitor is within the
+        # derivative bound's reach of the grid extreme, so the bound keeps
+        # them all, and rho_range and R match the scan
+        n = 2 ** 16
+        thetas = np.arange(n) * (2.0 * math.pi / n)
+        lo, hi, _, _ = body.rho_range()
+        rho = body.rho(thetas)
+        r1 = float(rho.max())
+        assert abs(lo - rho.min()) <= 1e-15 * r1
+        assert abs(hi - rho.max()) <= 1e-15 * r1
+        center, _ = inscribed_ball(body)
+        big_r = circumscribed_from_center(body, center)
+        dense = np.linalg.norm(body.boundary(thetas) - center, axis=1).max()
+        assert abs(big_r - dense) <= 1e-15 * r1
+
+    def test_far_extrema_are_not_polished(self, monkeypatch):
+        # rho has six grid-local extrema, and only the least and the largest
+        # can be reached between grid points; R has one maximum within reach
+        body = TrigSupportCurve(1.0, [0.03, 0.02, 0.01], [0.01, -0.02, 0.005])
+        points, refine = [], flat.refine_critical_points
+
+        def counting(derivs, t0, *args, **kwargs):
+            points.append(len(t0))
+            return refine(derivs, t0, *args, **kwargs)
+
+        monkeypatch.setattr(bodies, "refine_critical_points", counting)
+        monkeypatch.setattr(flat, "refine_critical_points", counting)
+        body.stack.rho_range()
+        body.stack.outer_radius(np.zeros((1, 2)))
+        assert points == [2, 1]
 
 
 class TestCircumscribed:
